@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .agent import PriceGrid, random_params, zeros_params
-from .config import ConfigValidationError, ExperimentConfig, load_config, worker_count
+from .config import ConfigValidationError, ExperimentConfig, load_config
 from .env import Scenario, ScenarioValidationError
 from .io import (
     ArtifactWriter,
@@ -20,6 +20,7 @@ from .io import (
     ingest_traces,
     load_policy,
     policy_document,
+    read_episode_csv,
     scenario_to_dict,
     violation_log_to_dict,
 )
@@ -37,13 +38,6 @@ from .training import (
 )
 
 SUBCOMMANDS = ("validate", "build-pool", "train", "meta-train", "evaluate", "tradeoff", "report", "run")
-
-
-def _grid(config: ExperimentConfig) -> PriceGrid:
-    agent = config.agent
-    if agent.p_min == agent.p_max:
-        return PriceGrid.uniform(agent.p_min, agent.p_max)
-    return PriceGrid.uniform(agent.p_min, agent.p_max, agent.levels)
 
 
 def _train_config(config: ExperimentConfig) -> TrainConfig:
@@ -106,7 +100,7 @@ def cmd_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
     writer = ArtifactWriter(out_dir)
     train_pool, _ = _build_pools(config)
     scenario = train_pool[config.agent.scenario_index]
-    grid = _grid(config)
+    grid = PriceGrid.uniform(config.agent.p_min, config.agent.p_max, config.agent.levels)
     tc = _train_config(config)
 
     per_seed = []
@@ -132,10 +126,6 @@ def cmd_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
             first_params = result.params
     assert first_params is not None
     writer.write_json("policy.json", policy_document(first_params, grid, config.horizon))
-    # Grid-mode training cannot leave the band, so the log stays empty; it is
-    # emitted anyway as the violation accounting surface.
-    log = ViolationLog()
-    writer.write_json("violations.json", violation_log_to_dict(log, summarize_violations(log)))
     writer.write_json("training_summary.json", {"scenario_index": config.agent.scenario_index, "per_seed": per_seed})
     writer.write_manifest()
     print(f"trained {config.n_seeds} seed(s); eval return {per_seed[0]['eval_return']:.3f}")
@@ -174,7 +164,7 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: str, seed: int) -> int:
 def cmd_meta_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
     writer = ArtifactWriter(out_dir)
     train_pool, heldout = _build_pools(config)
-    grid = _grid(config)
+    grid = PriceGrid.uniform(config.agent.p_min, config.agent.p_max, config.agent.levels)
     meta_cfg = config.meta.config
 
     rows = [
@@ -278,7 +268,6 @@ def cmd_tradeoff(config: ExperimentConfig, out_dir: str, seed: int) -> int:
         _train_config(config),
         seed,
         k_levels=config.agent.levels,
-        max_workers=worker_count(),
     )
     writer.write_csv(
         "tradeoff.csv",
@@ -292,8 +281,6 @@ def cmd_tradeoff(config: ExperimentConfig, out_dir: str, seed: int) -> int:
 
 def cmd_report(config: ExperimentConfig, out_dir: str, seed: int) -> int:
     writer = ArtifactWriter(out_dir)
-    from .io import read_episode_csv  # local import keeps the module graph flat
-
     episode_rows = []
     episodes_dir = writer.path("episodes")
     if episodes_dir.is_dir():

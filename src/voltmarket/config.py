@@ -318,14 +318,3 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         n_seeds=n_seeds,
         train_seed=train_seed,
     )
-
-
-def worker_count() -> int:
-    """Parallel worker cap from VOLTMARKET_THREADS; defaults to serial."""
-    raw = os.environ.get("VOLTMARKET_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -5,6 +5,7 @@ sample-efficiency comparison against a non-meta initialization."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -66,10 +67,12 @@ def adapt(
     agent_seed: int = 0,
     weights: RewardWeights = RewardWeights(),
     r1_mode: str = "price_diff",
+    on_step: Callable[[int, PolicyParams], None] | None = None,
 ) -> PolicyParams:
     """Run k_steps of epsilon-greedy Q-learning from init on one scenario.
 
     The input parameters are never mutated; updates build fresh values.
+    on_step is forwarded to learn_on_env.
     """
     if k_steps < 1:
         raise ValueError(f"k_steps must be >= 1, got {k_steps}")
@@ -88,6 +91,7 @@ def adapt(
         rng,
         weights,
         r1_mode,
+        on_step,
     )
     return adapted
 
@@ -250,7 +254,11 @@ def evaluate_adaptation(
     episode is compared. Held-out scenarios must be disjoint (by seed) from
     the training pool, which keeps this a genuine out-of-distribution check.
     curve_points > 0 additionally evaluates both inits at evenly spaced
-    adaptation checkpoints.
+    adaptation checkpoints. The curves are read off the same k_steps run:
+    epsilon is constant and the RNG stream is the run's own, so the params
+    after c of its steps are those of a separate c-step run. Step 0 is the
+    init itself, evaluated once per scenario, and step k_steps is the
+    entry's return.
     """
     if not heldout:
         raise ValueError("evaluate_adaptation requires held-out scenarios")
@@ -262,21 +270,32 @@ def evaluate_adaptation(
     checkpoints: list[int] = []
     if curve_points > 0:
         checkpoints = sorted({round(k_steps * j / curve_points) for j in range(curve_points + 1)})
+    inner_checkpoints = set(checkpoints) - {0, k_steps}
 
     entries: list[SampleEfficiencyEntry] = []
     curves: list[AdaptationCurve] = []
     per_scenario_meta: list[float] = []
     per_scenario_baseline: list[float] = []
 
+    inits = (meta_init, baseline_init)
     for idx, scenario in enumerate(heldout):
         meta_returns = []
         baseline_returns = []
-        curve_meta = np.zeros(len(checkpoints))
-        curve_base = np.zeros(len(checkpoints))
+        curve_sums = [np.zeros(len(checkpoints)) for _ in inits]
+        init_returns = [
+            _greedy_return(scenario, init, grid, weights, r1_mode) if checkpoints else None
+            for init in inits
+        ]
         for s in range(n_seeds):
             agent_seed = _adaptation_seed(scenario.seed, s)
             pair = []
-            for which, init in enumerate((meta_init, baseline_init)):
+            for which, init in enumerate(inits):
+                snapshots: dict[int, PolicyParams] = {}
+
+                def keep(steps_done: int, params: PolicyParams) -> None:
+                    if steps_done in inner_checkpoints:
+                        snapshots[steps_done] = params
+
                 adapted = adapt(
                     init,
                     scenario,
@@ -288,28 +307,14 @@ def evaluate_adaptation(
                     agent_seed=agent_seed,
                     weights=weights,
                     r1_mode=r1_mode,
+                    on_step=keep,
                 )
                 pair.append(_greedy_return(scenario, adapted, grid, weights, r1_mode))
+                returns = {0: init_returns[which], k_steps: pair[-1]}
+                for checkpoint, params in snapshots.items():
+                    returns[checkpoint] = _greedy_return(scenario, params, grid, weights, r1_mode)
                 for ci, checkpoint in enumerate(checkpoints):
-                    point = init
-                    if checkpoint > 0:
-                        point = adapt(
-                            init,
-                            scenario,
-                            checkpoint,
-                            inner_lr,
-                            gamma,
-                            epsilon,
-                            grid,
-                            agent_seed=agent_seed,
-                            weights=weights,
-                            r1_mode=r1_mode,
-                        )
-                    value = _greedy_return(scenario, point, grid, weights, r1_mode)
-                    if which == 0:
-                        curve_meta[ci] += value / n_seeds
-                    else:
-                        curve_base[ci] += value / n_seeds
+                    curve_sums[which][ci] += returns[checkpoint] / n_seeds
             meta_returns.append(pair[0])
             baseline_returns.append(pair[1])
             entries.append(
@@ -328,8 +333,8 @@ def evaluate_adaptation(
                 AdaptationCurve(
                     scenario_seed=scenario.seed,
                     steps=list(checkpoints),
-                    meta_returns=curve_meta.tolist(),
-                    baseline_returns=curve_base.tolist(),
+                    meta_returns=curve_sums[0].tolist(),
+                    baseline_returns=curve_sums[1].tolist(),
                 )
             )
 

@@ -5,7 +5,7 @@ evaluation with violation logging, and constraint-level policy families."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,11 +111,14 @@ def learn_on_env(
     rng: np.random.Generator,
     weights: RewardWeights = RewardWeights(),
     r1_mode: str = "price_diff",
+    on_step: Callable[[int, PolicyParams], None] | None = None,
 ) -> tuple[PolicyParams, list[float]]:
     """Run a fixed number of epsilon-greedy Q-learning steps on one env.
 
     Episodes reset automatically; returns the updated params and the return
-    of each completed episode.
+    of each completed episode. If given, on_step(steps_done, params) is
+    called after every update with the params reached so far; nothing is
+    kept unless the callback keeps it.
     """
     episode_returns: list[float] = []
     features = featurize(env.reset(), params.scaling)
@@ -138,6 +141,8 @@ def learn_on_env(
             lr,
             gamma,
         )
+        if on_step is not None:
+            on_step(step + 1, params)
         ep_return += reward.total
         if outcome.done:
             episode_returns.append(ep_return)
@@ -302,39 +307,29 @@ def train_constraint_family(
     config: TrainConfig,
     seed: int,
     k_levels: int = 11,
-    max_workers: int = 1,
 ) -> list[TradeoffPoint]:
     """Train one policy per price band, identical seed and config otherwise.
 
     Emits the band-vs-performance table operators use to judge how much
-    return a tighter constraint costs. Bands are independent, so they may be
-    trained on parallel workers; results keep band order either way.
+    return a tighter constraint costs; results keep band order.
     """
     if len(bands) < 1:
         raise ValueError("train_constraint_family requires at least one band")
 
-    def run(band: tuple[float, float]) -> TradeoffPoint:
-        p_min, p_max = band
-        grid = (
-            PriceGrid.uniform(p_min, p_max)
-            if p_min == p_max
-            else PriceGrid.uniform(p_min, p_max, k_levels)
-        )
+    points = []
+    for p_min, p_max in bands:
+        grid = PriceGrid.uniform(p_min, p_max, k_levels)
         result = train_policy(scenario, grid, config, seed)
         record = run_greedy_episode(scenario, result.params, grid, config.weights, config.r1_mode)
         sum_r1, sum_r2, total = objective_returns(record)
-        return TradeoffPoint(
-            p_min=p_min,
-            p_max=p_max,
-            params=result.params,
-            mean_return=total,
-            mean_sum_r1=sum_r1,
-            mean_sum_r2=sum_r2,
+        points.append(
+            TradeoffPoint(
+                p_min=p_min,
+                p_max=p_max,
+                params=result.params,
+                mean_return=total,
+                mean_sum_r1=sum_r1,
+                mean_sum_r2=sum_r2,
+            )
         )
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run, bands))
-    return [run(band) for band in bands]
+    return points

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from voltmarket.config import ConfigValidationError, load_config, worker_count
+from voltmarket.config import ConfigValidationError, load_config
 
 
 def minimal_config(**overrides):
@@ -107,13 +107,3 @@ def test_tasks_per_iteration_bounded_by_pool(tmp_path):
     with pytest.raises(ConfigValidationError, match="tasks_per_iteration"):
         load_config(write_config(tmp_path, config))
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("VOLTMARKET_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("VOLTMARKET_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("VOLTMARKET_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("VOLTMARKET_THREADS", "junk")
-    assert worker_count() == 1

@@ -10,7 +10,8 @@ from voltmarket import (
     warmup_scaling,
     zeros_params,
 )
-from voltmarket.meta import STOP_META_ITERATIONS, STOP_PERFORMANCE_THRESHOLD
+from voltmarket.meta import STOP_META_ITERATIONS, STOP_PERFORMANCE_THRESHOLD, _adaptation_seed
+from voltmarket.training import episode_return, run_greedy_episode
 
 from .helpers import small_scenario
 
@@ -218,3 +219,57 @@ class TestEvaluateAdaptation:
         curve = report.curves[0]
         assert curve.steps[0] == 0 and curve.steps[-1] == 6
         assert curve.meta_returns == pytest.approx(curve.baseline_returns)
+
+    def test_curves_and_entries_match_separate_adaptation_runs(self):
+        # Scalar oracle: every checkpoint is its own c-step adaptation from
+        # the init, accumulated per seed in checkpoint order; step 0 is the
+        # init itself and every entry is its own k-step run.
+        from voltmarket import random_params
+
+        pool = micro_pool(n=3)
+        train, heldout = pool[:1], pool[1:]
+        meta_init = make_init(pool)
+        baseline = random_params(GRID.k, meta_init.scaling, np.random.default_rng(0), std=0.3)
+        n_seeds, k_steps = 2, 6
+        kwargs = self.kwargs()
+        report = evaluate_adaptation(
+            meta_init,
+            baseline,
+            heldout,
+            k_steps=k_steps,
+            n_seeds=n_seeds,
+            train_pool=train,
+            curve_points=3,
+            **kwargs,
+        )
+
+        def separate_return(init, scenario, steps, seed):
+            params = init
+            if steps > 0:
+                params = adapt(
+                    init,
+                    scenario,
+                    steps,
+                    kwargs["inner_lr"],
+                    kwargs["gamma"],
+                    kwargs["epsilon"],
+                    GRID,
+                    agent_seed=_adaptation_seed(scenario.seed, seed),
+                )
+            return episode_return(run_greedy_episode(scenario, params, GRID))
+
+        assert len(report.curves) == len(heldout)
+        for idx, (scenario, curve) in enumerate(zip(heldout, report.curves)):
+            assert curve.steps == [0, 2, 4, 6]
+            assert curve.meta_returns != curve.baseline_returns
+            for init, got in ((meta_init, curve.meta_returns), (baseline, curve.baseline_returns)):
+                expected = np.zeros(len(curve.steps))
+                for seed in range(n_seeds):
+                    for ci, steps in enumerate(curve.steps):
+                        expected[ci] += separate_return(init, scenario, steps, seed) / n_seeds
+                assert got == expected.tolist()
+            entries = [e for e in report.entries if e.scenario_index == idx]
+            assert [e.seed for e in entries] == list(range(n_seeds))
+            for e in entries:
+                assert e.meta_return == separate_return(meta_init, scenario, k_steps, e.seed)
+                assert e.baseline_return == separate_return(baseline, scenario, k_steps, e.seed)

@@ -140,18 +140,6 @@ class TestConstraintFamily:
         points = train_constraint_family(scenario, bands, config, seed=1, k_levels=3)
         assert [(p.p_min, p.p_max) for p in points] == bands
 
-    def test_parallel_workers_match_serial(self):
-        scenario = small_scenario(episode_length=4)
-        config = TrainConfig(episodes=1, warmup_steps=10)
-        bands = [(0.1, 0.2), (0.05, 0.3)]
-        serial = train_constraint_family(scenario, bands, config, seed=1, k_levels=3)
-        threaded = train_constraint_family(
-            scenario, bands, config, seed=1, k_levels=3, max_workers=2
-        )
-        for a, b in zip(serial, threaded):
-            assert a.mean_return == b.mean_return
-            assert a.params.weights.tolist() == b.params.weights.tolist()
-
     def test_requires_bands(self):
         with pytest.raises(ValueError):
             train_constraint_family(small_scenario(), [], TrainConfig(), seed=0)
