@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .io import (
     load_policy,
     policy_document,
     read_episode_csv,
-    scenario_to_dict,
-    violation_log_to_dict,
 )
 from .meta import evaluate_adaptation, meta_train
 from .model import ScenarioTraces
@@ -74,39 +73,50 @@ def _build_pools(config: ExperimentConfig) -> tuple[list[Scenario], list[Scenari
     return scenarios[: config.pool.n_scenarios], scenarios[config.pool.n_scenarios :]
 
 
-def cmd_validate(config: ExperimentConfig, out_dir: str, seed: int) -> int:
-    _build_pools(config)  # exercises trace ingestion and scenario construction
+@dataclass
+class _Context:
+    """What the stages of one command share: one writer, and the pools, built
+    on first use so that commands which need none build none."""
+
+    config: ExperimentConfig
+    seed: int
+    writer: ArtifactWriter
+
+    @cached_property
+    def pools(self) -> tuple[list[Scenario], list[Scenario]]:
+        return _build_pools(self.config)
+
+
+def cmd_validate(ctx: _Context) -> int:
+    ctx.pools  # exercises trace ingestion and scenario construction
     print("config OK")
     return 0
 
 
-def cmd_build_pool(config: ExperimentConfig, out_dir: str, seed: int) -> int:
-    writer = ArtifactWriter(out_dir)
-    train_pool, heldout = _build_pools(config)
-    writer.write_json(
+def cmd_build_pool(ctx: _Context) -> int:
+    train_pool, heldout = ctx.pools
+    ctx.writer.write_json(
         "pool.json",
         {
-            "base_seed": config.pool_base_seed,
-            "train": [scenario_to_dict(s) for s in train_pool],
-            "heldout": [scenario_to_dict(s) for s in heldout],
+            "base_seed": ctx.config.pool_base_seed,
+            "train": [asdict(s) for s in train_pool],
+            "heldout": [asdict(s) for s in heldout],
         },
     )
-    writer.write_manifest()
     print(f"pool: {len(train_pool)} training + {len(heldout)} held-out scenarios")
     return 0
 
 
-def cmd_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
-    writer = ArtifactWriter(out_dir)
-    train_pool, _ = _build_pools(config)
-    scenario = train_pool[config.agent.scenario_index]
+def cmd_train(ctx: _Context) -> int:
+    config, writer = ctx.config, ctx.writer
+    scenario = ctx.pools[0][config.agent.scenario_index]
     grid = PriceGrid.uniform(config.agent.p_min, config.agent.p_max, config.agent.levels)
     tc = _train_config(config)
 
     per_seed = []
     first_params = None
     for i in range(config.n_seeds):
-        seed_i = seed + i
+        seed_i = ctx.seed + i
         result = train_policy(scenario, grid, tc, seed_i)
         record = run_greedy_episode(scenario, result.params, grid, tc.weights, tc.r1_mode)
         sum_r1, sum_r2, total = objective_returns(record)
@@ -127,15 +137,14 @@ def cmd_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
     assert first_params is not None
     writer.write_json("policy.json", policy_document(first_params, grid, config.horizon))
     writer.write_json("training_summary.json", {"scenario_index": config.agent.scenario_index, "per_seed": per_seed})
-    writer.write_manifest()
     print(f"trained {config.n_seeds} seed(s); eval return {per_seed[0]['eval_return']:.3f}")
     return 0
 
 
-def cmd_evaluate(config: ExperimentConfig, out_dir: str, seed: int) -> int:
-    writer = ArtifactWriter(out_dir)
+def cmd_evaluate(ctx: _Context) -> int:
+    config, writer = ctx.config, ctx.writer
     params, grid, _horizon = load_policy(writer.path("policy.json"))
-    train_pool, _ = _build_pools(config)
+    train_pool = ctx.pools[0]
     summary = []
     for i, scenario in enumerate(train_pool):
         record = run_greedy_episode(scenario, params, grid, config.reward_weights, config.r1_mode)
@@ -154,16 +163,18 @@ def cmd_evaluate(config: ExperimentConfig, out_dir: str, seed: int) -> int:
             }
         )
     log = ViolationLog()
-    writer.write_json("violations.json", violation_log_to_dict(log, summarize_violations(log)))
+    writer.write_json(
+        "violations.json",
+        {"entries": [asdict(e) for e in log.entries], "summary": asdict(summarize_violations(log))},
+    )
     writer.write_json("eval_summary.json", {"scenarios": summary})
-    writer.write_manifest()
     print(f"evaluated policy on {len(train_pool)} scenario(s)")
     return 0
 
 
-def cmd_meta_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
-    writer = ArtifactWriter(out_dir)
-    train_pool, heldout = _build_pools(config)
+def cmd_meta_train(ctx: _Context) -> int:
+    config, writer, seed = ctx.config, ctx.writer, ctx.seed
+    train_pool, heldout = ctx.pools
     grid = PriceGrid.uniform(config.agent.p_min, config.agent.p_max, config.agent.levels)
     meta_cfg = config.meta.config
 
@@ -210,38 +221,7 @@ def cmd_meta_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
         r1_mode=config.r1_mode,
         curve_points=config.meta.curve_points,
     )
-    writer.write_json(
-        "sample_efficiency.json",
-        {
-            "k_steps": report.k_steps,
-            "n_seeds": report.n_seeds,
-            "n_scenarios": report.n_scenarios,
-            "meta_wins": report.meta_wins,
-            "pooled_meta_mean": report.pooled_meta_mean,
-            "pooled_baseline_mean": report.pooled_baseline_mean,
-            "per_scenario_meta_mean": report.per_scenario_meta_mean,
-            "per_scenario_baseline_mean": report.per_scenario_baseline_mean,
-            "entries": [
-                {
-                    "scenario_index": e.scenario_index,
-                    "scenario_seed": e.scenario_seed,
-                    "seed": e.seed,
-                    "meta_return": e.meta_return,
-                    "baseline_return": e.baseline_return,
-                }
-                for e in report.entries
-            ],
-            "curves": [
-                {
-                    "scenario_seed": c.scenario_seed,
-                    "steps": c.steps,
-                    "meta_returns": c.meta_returns,
-                    "baseline_returns": c.baseline_returns,
-                }
-                for c in report.curves
-            ],
-        },
-    )
+    writer.write_json("sample_efficiency.json", asdict(report))
     writer.write_csv(
         "sample_efficiency.csv",
         ("scenario_index", "scenario_seed", "seed", "meta_return", "baseline_return"),
@@ -250,7 +230,6 @@ def cmd_meta_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
             for e in report.entries
         ],
     )
-    writer.write_manifest()
     print(
         f"meta-training stopped by {result.stop_reason}; "
         f"held-out wins {report.meta_wins}/{report.n_scenarios}"
@@ -258,29 +237,27 @@ def cmd_meta_train(config: ExperimentConfig, out_dir: str, seed: int) -> int:
     return 0
 
 
-def cmd_tradeoff(config: ExperimentConfig, out_dir: str, seed: int) -> int:
-    writer = ArtifactWriter(out_dir)
-    train_pool, _ = _build_pools(config)
-    scenario = train_pool[config.agent.scenario_index]
+def cmd_tradeoff(ctx: _Context) -> int:
+    config = ctx.config
+    scenario = ctx.pools[0][config.agent.scenario_index]
     points = train_constraint_family(
         scenario,
         list(config.tradeoff_bands),
         _train_config(config),
-        seed,
+        ctx.seed,
         k_levels=config.agent.levels,
     )
-    writer.write_csv(
+    ctx.writer.write_csv(
         "tradeoff.csv",
         ("p_min", "p_max", "mean_return", "mean_sum_r1", "mean_sum_r2"),
         [(pt.p_min, pt.p_max, pt.mean_return, pt.mean_sum_r1, pt.mean_sum_r2) for pt in points],
     )
-    writer.write_manifest()
     print(f"trade-off table over {len(points)} band(s) written")
     return 0
 
 
-def cmd_report(config: ExperimentConfig, out_dir: str, seed: int) -> int:
-    writer = ArtifactWriter(out_dir)
+def cmd_report(ctx: _Context) -> int:
+    config, writer = ctx.config, ctx.writer
     episode_rows = []
     episodes_dir = writer.path("episodes")
     if episodes_dir.is_dir():
@@ -323,13 +300,12 @@ def cmd_report(config: ExperimentConfig, out_dir: str, seed: int) -> int:
             for row in episode_rows
         ],
     )
-    writer.write_manifest()
     print(f"report over {len(episode_rows)} episode file(s) written")
     return 0
 
 
-def cmd_run(config: ExperimentConfig, out_dir: str, seed: int) -> int:
-    """The full pipeline in dependency order, one output directory."""
+def cmd_run(ctx: _Context) -> int:
+    """The full pipeline in dependency order, on one context."""
     for step in (
         cmd_validate,
         cmd_build_pool,
@@ -339,7 +315,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str, seed: int) -> int:
         cmd_tradeoff,
         cmd_report,
     ):
-        status = step(config, out_dir, seed)
+        status = step(ctx)
         if status != 0:
             return status
     return 0
@@ -377,15 +353,19 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.out if args.out is not None else config.output_dir
     seed = args.seed if args.seed is not None else config.train_seed
+    ctx = _Context(config, seed, ArtifactWriter(out_dir))
 
     try:
-        return _HANDLERS[args.command](config, out_dir, seed)
+        return _HANDLERS[args.command](ctx)
     except (TraceFormatError, PoolConfigError, ScenarioValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (PolicyFileError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if ctx.writer.written:
+            ctx.writer.write_manifest()
 
 
 if __name__ == "__main__":

@@ -209,7 +209,7 @@ def _schedule(
     battery: Battery,
     soc_levels: int,
     peak_weight: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     if len(price_window) == 0:
         raise ValueError("scheduling window must contain at least one step")
     if len(price_window) != len(baseline_window):
@@ -248,7 +248,7 @@ def _schedule(
 
     deltas = np.array([delta for _, delta in plan], dtype=float)
     indices = np.array([j for j, _ in plan], dtype=int)
-    return deltas, indices, start
+    return deltas, indices
 
 
 def dp_schedule(
@@ -264,7 +264,7 @@ def dp_schedule(
     minimizes sum(price * grid_draw) + peak_weight * max(grid_draw) over the
     discretized SOC grid, breaking ties toward the smaller battery move.
     """
-    deltas, _, _ = _schedule(price_window, baseline_window, battery, soc_levels, peak_weight)
+    deltas, _ = _schedule(price_window, baseline_window, battery, soc_levels, peak_weight)
     return deltas
 
 
@@ -294,7 +294,7 @@ def storage_demand(
         raise ValueError(f"storage_demand requires a storage customer, got {spec.kind!r}")
     assert spec.battery is not None
     battery = replace(spec.battery, soc=soc)
-    deltas, indices, _ = _schedule(
+    deltas, indices = _schedule(
         price_window, baseline_window, battery, spec.soc_levels, spec.peak_weight
     )
     grid = _soc_grid(battery, spec.soc_levels)

@@ -122,7 +122,7 @@ class GridEnv:
             spec.battery.capacity / 2.0 if spec.kind == "storage" else None
             for spec in scenario.customers
         ]
-        demands = self._aggregate_demand(0, price=None, commit=False)
+        demands = self._aggregate_demand(0, None, self._renewable(0), commit=False)
         self.last_customer_demands = demands
         return build_state_window(
             scenario.traces, 0, scenario.horizon, float(demands.sum())
@@ -145,15 +145,10 @@ class GridEnv:
 
         scenario = self.scenario
         t = self._t
-        demands = self._aggregate_demand(t, price_value, commit=True)
+        e_renewable = self._renewable(t)
+        demands = self._aggregate_demand(t, price_value, e_renewable, commit=True)
         self.last_customer_demands = demands
         e_demand = float(demands.sum())
-        e_renewable = renewable_generation(
-            scenario.traces.weather[t],
-            scenario.traces.solar_capacity_kw,
-            scenario.traces.wind_capacity_kw,
-            scenario.horizon.timestep_minutes,
-        )
         purchase = scenario.traces.purchase_price[t]
 
         self._t = t + 1
@@ -172,12 +167,25 @@ class GridEnv:
             done=self._done,
         )
 
-    def _aggregate_demand(self, t: int, price: float | None, commit: bool) -> np.ndarray:
+    def _renewable(self, t: int) -> float:
+        traces = self.scenario.traces
+        return renewable_generation(
+            traces.weather[t],
+            traces.solar_capacity_kw,
+            traces.wind_capacity_kw,
+            self.scenario.horizon.timestep_minutes,
+        )
+
+    def _aggregate_demand(
+        self, t: int, price: float | None, capacity_signal: float, commit: bool
+    ) -> np.ndarray:
         """Per-customer grid draws at timestep t under a broadcast price.
 
         price=None evaluates each customer against its own reference price
         (reset preview). Storage customers see a persistence window of the
-        announced price; only the first scheduled move is executed.
+        announced price; only the first scheduled move is executed. The
+        renewable generation at t is the cooperative customers' capacity
+        signal.
         """
         scenario = self.scenario
         window = scenario.horizon.window_length
@@ -211,12 +219,6 @@ class GridEnv:
                     spec.elasticity,
                     spec.reference_price,
                 )
-        capacity_signal = renewable_generation(
-            scenario.traces.weather[t],
-            scenario.traces.solar_capacity_kw,
-            scenario.traces.wind_capacity_kw,
-            scenario.horizon.timestep_minutes,
-        )
         flags = [spec.cooperative for spec in scenario.customers]
         return cooperative_adjustment(demands, baselines_now, flags, capacity_signal)
 

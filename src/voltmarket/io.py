@@ -16,7 +16,7 @@ from .agent import FeatureScaling, PolicyParams, PriceGrid
 from .customers import Battery, CustomerSpec
 from .env import Scenario
 from .model import Horizon, ScenarioTraces, WeatherSample
-from .telemetry import EpisodeRecord, EpisodeStep, ViolationLog, ViolationSummary
+from .telemetry import EpisodeRecord, EpisodeStep
 
 TRACE_COLUMNS = ("timestamp_min", "temperature_c", "solar_irradiance", "wind_speed_ms", "purchase_price")
 POLICY_SCHEMA_VERSION = 1
@@ -229,75 +229,6 @@ def read_episode_csv(
     return record
 
 
-def violation_log_to_dict(log: ViolationLog, summary: ViolationSummary) -> dict:
-    return {
-        "entries": [
-            {
-                "t": e.t,
-                "attempted_price": e.attempted_price,
-                "bound_hit": e.bound_hit,
-                "clamped_price": e.clamped_price,
-            }
-            for e in log.entries
-        ],
-        "summary": {
-            "count": summary.count,
-            "max_gap": summary.max_gap,
-            "total_gap": summary.total_gap,
-            "lower_count": summary.lower_count,
-            "upper_count": summary.upper_count,
-        },
-    }
-
-
-def battery_to_dict(b: Battery) -> dict:
-    return {
-        "capacity": b.capacity,
-        "max_charge_rate": b.max_charge_rate,
-        "max_discharge_rate": b.max_discharge_rate,
-        "charge_efficiency": b.charge_efficiency,
-        "discharge_efficiency": b.discharge_efficiency,
-        "soc": b.soc,
-    }
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "episode_length": scenario.episode_length,
-        "horizon": {
-            "p": scenario.horizon.p,
-            "timestep_minutes": scenario.horizon.timestep_minutes,
-        },
-        "customers": [
-            {
-                "kind": c.kind,
-                "cooperative": c.cooperative,
-                "reference_price": c.reference_price,
-                "peak_weight": c.peak_weight,
-                "elasticity": c.elasticity,
-                "soc_levels": c.soc_levels,
-                "battery": battery_to_dict(c.battery) if c.battery else None,
-                "baseline_load": list(c.baseline_load),
-            }
-            for c in scenario.customers
-        ],
-        "traces": {
-            "solar_capacity_kw": scenario.traces.solar_capacity_kw,
-            "wind_capacity_kw": scenario.traces.wind_capacity_kw,
-            "purchase_price": list(scenario.traces.purchase_price),
-            "weather": [
-                {
-                    "temperature_c": w.temperature_c,
-                    "solar_irradiance": w.solar_irradiance,
-                    "wind_speed": w.wind_speed,
-                }
-                for w in scenario.traces.weather
-            ],
-        },
-    }
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
     traces = ScenarioTraces(
         weather=tuple(
@@ -344,14 +275,14 @@ class ArtifactWriter:
     """Funnels every output file through one place and builds the manifest.
 
     The manifest inventories all artifact files under the output root (the
-    manifest itself excluded) with content hashes; it is written last.
+    manifest itself excluded) with content hashes; it is written last. The
+    root is created by the first write.
     """
 
     MANIFEST_NAME = "manifest.json"
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.written: list[str] = []
 
     def path(self, rel: str) -> Path:
@@ -372,11 +303,6 @@ class ArtifactWriter:
     def write_episode_csv(self, rel: str, record: EpisodeRecord) -> Path:
         full = self._track(rel)
         write_episode_csv(record, full)
-        return full
-
-    def write_text(self, rel: str, text: str) -> Path:
-        full = self._track(rel)
-        full.write_text(text)
         return full
 
     def write_csv(self, rel: str, header, rows) -> Path:

@@ -22,6 +22,12 @@ def test_validate_ok(config_path, capsys):
     assert "config OK" in capsys.readouterr().out
 
 
+def test_validate_writes_nothing(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", config_path, "--out", out) == 0
+    assert not out.exists()
+
+
 def test_validate_bad_config_exit_2(tmp_path, capsys):
     config = minimal_config(agent={"lr": -5})
     path = write_config(tmp_path, config)
@@ -116,6 +122,23 @@ def test_run_twice_is_byte_identical(config_path, tmp_path):
     manifest_a = (out_a / "manifest.json").read_bytes()
     manifest_b = (out_b / "manifest.json").read_bytes()
     assert manifest_a == manifest_b
+
+
+def test_run_equals_subcommands_one_by_one(config_path, tmp_path):
+    out_run = tmp_path / "run"
+    out_steps = tmp_path / "steps"
+    assert run_cli("run", "--config", config_path, "--out", out_run, "--seed", 3) == 0
+    for stage in ("validate", "build-pool", "train", "meta-train", "evaluate", "tradeoff", "report"):
+        assert run_cli(stage, "--config", config_path, "--out", out_steps, "--seed", 3) == 0
+
+    def tree(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    run_files, step_files = tree(out_run), tree(out_steps)
+    assert "manifest.json" in run_files
+    assert run_files.keys() == step_files.keys()
+    for name, content in run_files.items():
+        assert content == step_files[name], name
 
 
 def test_subcommand_rerun_is_byte_identical(config_path, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,13 +16,11 @@ from voltmarket.io import (
     persist_policy,
     read_episode_csv,
     scenario_from_dict,
-    scenario_to_dict,
     write_episode_csv,
     write_traces_csv,
 )
-from voltmarket.pool import PoolConfig, synth_traces
+from voltmarket.pool import PoolConfig, build_scenario_pool, synth_traces
 
-from .helpers import small_scenario
 from .test_telemetry import make_record
 
 GOOD_CSV = """timestamp_min,temperature_c,solar_irradiance,wind_speed_ms,purchase_price
@@ -155,14 +154,22 @@ class TestEpisodeCsv:
 
 class TestScenarioSerialization:
     def test_round_trip(self):
-        scenario = small_scenario(episode_length=5, kinds=("storage", "elastic"))
-        doc = scenario_to_dict(scenario)
-        back = scenario_from_dict(json.loads(json.dumps(doc)))
-        assert back.seed == scenario.seed
-        assert back.episode_length == scenario.episode_length
-        assert [c.kind for c in back.customers] == [c.kind for c in scenario.customers]
-        assert back.traces.purchase_price == scenario.traces.purchase_price
-        assert back.customers[0].battery.capacity == scenario.customers[0].battery.capacity
+        pool = build_scenario_pool(
+            PoolConfig(
+                n_scenarios=3,
+                customer_count=4,
+                storage_fraction=(0.25, 0.75),
+                cooperative_fraction=(0.0, 1.0),
+                elasticity=(-1.2, -0.4),
+                horizon=Horizon(2, 60),
+                episode_length=12,
+                soc_levels=3,
+            ),
+            base_seed=11,
+        )
+        for scenario in pool:
+            assert {c.kind for c in scenario.customers} == {"storage", "elastic"}
+            assert scenario_from_dict(json.loads(json.dumps(asdict(scenario)))) == scenario
 
 
 class TestArtifactWriter:
@@ -187,5 +194,5 @@ class TestArtifactWriter:
     def test_no_orphan_writes(self, tmp_path):
         writer = ArtifactWriter(tmp_path / "out")
         writer.write_json("a.json", {})
-        writer.write_text("b.txt", "hello")
+        writer.write_csv("b.csv", ("u",), [(1,)])
         assert sorted(writer.written) == sorted(writer.inventory())
