@@ -3,8 +3,9 @@ dynamic programming, elastic non-storage loads, and cooperative demand scaling."
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -122,71 +123,89 @@ def customer_cost(
     return total + peak_weight * max(grid_draw)
 
 
-def _soc_grid(battery: Battery, soc_levels: int) -> np.ndarray:
-    return np.linspace(0.0, battery.capacity, soc_levels)
+def _nearest_index(grid: Sequence[float], value: float) -> int:
+    # The first minimum wins, so ties resolve toward the lower level.
+    best = 0
+    best_gap = abs(grid[0] - value)
+    for k in range(1, len(grid)):
+        gap = abs(grid[k] - value)
+        if gap < best_gap:
+            best, best_gap = k, gap
+    return best
 
 
-def _nearest_index(grid: np.ndarray, value: float) -> int:
-    # np.argmin picks the first minimum, so ties resolve toward the lower level.
-    return int(np.argmin(np.abs(grid - value)))
+@functools.lru_cache(maxsize=1024)
+def _dp_structure(
+    capacity: float,
+    max_charge_rate: float,
+    max_discharge_rate: float,
+    charge_efficiency: float,
+    discharge_efficiency: float,
+    soc_levels: int,
+) -> tuple[
+    tuple[float, ...], tuple[tuple[tuple[int, float, float], ...], ...], tuple[float, ...]
+]:
+    """SOC grid, per-level moves and ascending distinct grid deltas of one battery.
 
-
-def _transitions(battery: Battery, grid: np.ndarray) -> list[list[tuple[int, float, float]]]:
-    """Per SOC index: (next_index, battery_delta_kwh, grid_delta_kwh) candidates.
-
-    Actions are idle, full-rate charge, full-rate discharge, with targets
+    Memoized on the battery's values, never on the mutable Battery object, so
+    a battery changed in place is solved with its new limits. Per SOC index
+    the transitions are (next_index, battery_delta_kwh, grid_delta_kwh)
+    candidates: idle, full-rate charge, full-rate discharge, with targets
     clipped to [0, capacity] and rounded to the SOC grid. Candidates are
     ordered by |battery energy| so that the scheduler's tie-breaking prefers
     the smaller move; actions that round to idle are dropped as duplicates.
     """
-    out: list[list[tuple[int, float, float]]] = []
+    grid = np.linspace(0.0, capacity, soc_levels).tolist()
+    transitions = []
     for i, soc in enumerate(grid):
         cands: list[tuple[int, float, float]] = [(i, 0.0, 0.0)]
-        j = _nearest_index(grid, min(soc + battery.max_charge_rate, battery.capacity))
+        j = _nearest_index(grid, min(soc + max_charge_rate, capacity))
         if j != i:
             delta = grid[j] - soc
-            cands.append((j, delta, delta / battery.charge_efficiency))
-        j = _nearest_index(grid, max(soc - battery.max_discharge_rate, 0.0))
+            cands.append((j, delta, delta / charge_efficiency))
+        j = _nearest_index(grid, max(soc - max_discharge_rate, 0.0))
         if j != i:
             delta = grid[j] - soc
-            cands.append((j, delta, delta * battery.discharge_efficiency))
+            cands.append((j, delta, delta * discharge_efficiency))
         cands.sort(key=lambda c: (abs(c[1]), c[1]))
-        out.append(cands)
-    return out
+        transitions.append(tuple(cands))
+    grid_deltas = sorted({grid_delta for cands in transitions for _, _, grid_delta in cands})
+    return tuple(grid), tuple(transitions), tuple(grid_deltas)
 
 
 def _solve_capped(
-    prices: Sequence[float],
-    baselines: Sequence[float],
-    transitions: list[list[tuple[int, float, float]]],
+    candidates: list[list[list[tuple[int, float, float, float]]]],
     start: int,
-    cap: float | None,
+    cap: float,
 ) -> tuple[float, list[tuple[int, float]]]:
     """Backward DP minimizing purchase cost with every grid draw <= cap.
 
-    Returns (cost from the start state, per-step (next_index, battery_delta)
-    decisions). Cost is +inf when no plan respects the cap.
+    candidates[t][i] holds the moves from SOC index i at step t as
+    (next_index, battery_delta, grid_draw, price * grid_draw), with the draw
+    already clamped at zero and the moves in transition order, so the first
+    of equally cheap moves is the smaller one. cap=math.inf admits every
+    move. Returns (cost from the start state, per-step (next_index,
+    battery_delta) decisions). Cost is +inf when no plan respects the cap.
     """
-    steps = len(prices)
-    levels = len(transitions)
+    levels = len(candidates[0])
     value_next = [0.0] * levels
-    best: list[list[tuple[int, float] | None]] = []
-    for t in range(steps - 1, -1, -1):
-        value_t = [math.inf] * levels
-        best_t: list[tuple[int, float] | None] = [None] * levels
-        price = prices[t]
-        baseline = baselines[t]
-        for i in range(levels):
-            for j, delta, grid_delta in transitions[i]:
-                draw = baseline + grid_delta
-                if draw < 0.0:
-                    draw = 0.0
-                if cap is not None and draw > cap:
+    best: list[list[tuple[int, float, float, float] | None]] = []
+    for step in reversed(candidates):
+        value_t = []
+        best_t = []
+        for moves in step:
+            least = math.inf
+            choice = None
+            for move in moves:
+                j, _, draw, price_draw = move
+                if draw > cap:
                     continue
-                cost = price * draw + value_next[j]
-                if cost < value_t[i]:
-                    value_t[i] = cost
-                    best_t[i] = (j, delta)
+                cost = price_draw + value_next[j]
+                if cost < least:
+                    least = cost
+                    choice = move
+            value_t.append(least)
+            best_t.append(choice)
         value_next = value_t
         best.append(best_t)
     best.reverse()
@@ -195,10 +214,10 @@ def _solve_capped(
         return math.inf, []
     plan: list[tuple[int, float]] = []
     state = start
-    for t in range(steps):
-        decision = best[t][state]
+    for best_t in best:
+        decision = best_t[state]
         assert decision is not None
-        plan.append(decision)
+        plan.append((decision[0], decision[1]))
         state = decision[0]
     return value_next[start], plan
 
@@ -207,48 +226,77 @@ def _schedule(
     price_window: Sequence[float],
     baseline_window: Sequence[float],
     battery: Battery,
+    soc: float,
     soc_levels: int,
     peak_weight: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[int, float]], tuple[float, ...]]:
+    """Cost-minimal plan from soc as per-step (next_index, battery_delta)
+    moves, and the SOC grid its indices refer to.
+
+    The peak term breaks per-step separability. The optimal plan's peak draw
+    is one of the finitely many candidate draws, so a capped DP is solved per
+    candidate cap in ascending order and the cheapest total is kept; the
+    strict < keeps the smallest cap on ties. Two shortcuts skip only caps
+    that cannot replace the best total:
+
+    - A cap below max_t (smallest candidate draw at step t) admits no move
+      at that step, so its cost is +inf.
+    - The capped DP minimizes over a subset of the uncapped DP's moves at
+      every step, and rounded addition is monotone, so by induction over the
+      steps no capped cost is below the uncapped cost base_cost. As
+      peak_weight >= 0 and caps ascend, every later total is at least
+      base_cost + peak_weight*cap, so the sweep stops at the first cap where
+      that reaches best_total.
+    """
     if len(price_window) == 0:
         raise ValueError("scheduling window must contain at least one step")
     if len(price_window) != len(baseline_window):
         raise ValueError("price and baseline windows must have equal length")
     if soc_levels < 2:
         raise ValueError(f"soc_levels must be >= 2, got {soc_levels}")
+    if not peak_weight >= 0.0:
+        raise ValueError(f"peak_weight must be >= 0, got {peak_weight}")
 
-    grid = _soc_grid(battery, soc_levels)
-    start = _nearest_index(grid, battery.soc)
-    transitions = _transitions(battery, grid)
+    grid, transitions, grid_deltas = _dp_structure(
+        battery.capacity,
+        battery.max_charge_rate,
+        battery.max_discharge_rate,
+        battery.charge_efficiency,
+        battery.discharge_efficiency,
+        soc_levels,
+    )
+    start = _nearest_index(grid, soc)
+    baselines = [float(b) for b in baseline_window]
+    candidates = []
+    for price, baseline in zip(map(float, price_window), baselines):
+        step = []
+        for cands in transitions:
+            moves = []
+            for j, delta, grid_delta in cands:
+                draw = baseline + grid_delta
+                if draw < 0.0:
+                    draw = 0.0
+                moves.append((j, delta, draw, price * draw))
+            step.append(moves)
+        candidates.append(step)
 
-    if peak_weight == 0.0:
-        _, plan = _solve_capped(price_window, baseline_window, transitions, start, None)
-    else:
-        # The peak term breaks per-step separability. The optimal plan's peak
-        # draw is one of the finitely many achievable draws, so solve a capped
-        # DP per candidate and keep the cheapest total (smallest cap on ties).
-        caps = sorted(
-            {
-                max(0.0, baseline_window[t] + grid_delta)
-                for t in range(len(baseline_window))
-                for cands in transitions
-                for _, _, grid_delta in cands
-            }
-        )
+    base_cost, plan = _solve_capped(candidates, start, math.inf)
+    if peak_weight > 0.0:
+        floor = max(max(0.0, baseline + grid_deltas[0]) for baseline in baselines)
+        caps = sorted({max(0.0, baseline + d) for baseline in baselines for d in grid_deltas})
         best_total = math.inf
         plan = []
         for cap in caps:
-            cost, cap_plan = _solve_capped(
-                price_window, baseline_window, transitions, start, cap
-            )
+            if cap < floor:
+                continue
+            if base_cost + peak_weight * cap >= best_total:
+                break
+            cost, cap_plan = _solve_capped(candidates, start, cap)
             total = cost + peak_weight * cap
             if total < best_total:
                 best_total = total
                 plan = cap_plan
-
-    deltas = np.array([delta for _, delta in plan], dtype=float)
-    indices = np.array([j for j, _ in plan], dtype=int)
-    return deltas, indices
+    return plan, grid
 
 
 def dp_schedule(
@@ -264,8 +312,10 @@ def dp_schedule(
     minimizes sum(price * grid_draw) + peak_weight * max(grid_draw) over the
     discretized SOC grid, breaking ties toward the smaller battery move.
     """
-    deltas, _ = _schedule(price_window, baseline_window, battery, soc_levels, peak_weight)
-    return deltas
+    plan, _ = _schedule(
+        price_window, baseline_window, battery, battery.soc, soc_levels, peak_weight
+    )
+    return np.array([delta for _, delta in plan], dtype=float)
 
 
 def execute_decision(battery: Battery, baseline: float, delta: float) -> float:
@@ -292,14 +342,16 @@ def storage_demand(
     """
     if spec.kind != "storage":
         raise ValueError(f"storage_demand requires a storage customer, got {spec.kind!r}")
-    assert spec.battery is not None
-    battery = replace(spec.battery, soc=soc)
-    deltas, indices = _schedule(
-        price_window, baseline_window, battery, spec.soc_levels, spec.peak_weight
+    battery = spec.battery
+    assert battery is not None
+    if not 0.0 <= soc <= battery.capacity:
+        raise ValueError(f"soc must lie in [0, {battery.capacity}], got {soc}")
+    plan, grid = _schedule(
+        price_window, baseline_window, battery, soc, spec.soc_levels, spec.peak_weight
     )
-    grid = _soc_grid(battery, spec.soc_levels)
-    draw = execute_decision(battery, baseline_window[0], deltas[0])
-    new_soc = float(min(max(grid[indices[0]], 0.0), battery.capacity))
+    next_index, delta = plan[0]
+    draw = execute_decision(battery, baseline_window[0], delta)
+    new_soc = float(min(max(grid[next_index], 0.0), battery.capacity))
     return draw, new_soc
 
 

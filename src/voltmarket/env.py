@@ -98,6 +98,7 @@ class GridEnv:
         self._dp_cache: list[dict[tuple[float, int, float], tuple[float, float]]] = [
             {} for _ in scenario.customers
         ]
+        self._cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
         self.last_customer_demands: np.ndarray | None = None
 
     @property
@@ -202,10 +203,7 @@ class GridEnv:
                 cached = self._dp_cache[i].get(key)
                 if cached is None:
                     cached = storage_demand(
-                        spec,
-                        np.full(window, customer_price),
-                        np.asarray(baseline_window),
-                        soc,
+                        spec, (customer_price,) * window, baseline_window, soc
                     )
                     self._dp_cache[i][key] = cached
                 draw, new_soc = cached
@@ -219,8 +217,7 @@ class GridEnv:
                     spec.elasticity,
                     spec.reference_price,
                 )
-        flags = [spec.cooperative for spec in scenario.customers]
-        return cooperative_adjustment(demands, baselines_now, flags, capacity_signal)
+        return cooperative_adjustment(demands, baselines_now, self._cooperative, capacity_signal)
 
     def battery_soc(self, customer_index: int) -> float | None:
         """Current SOC of a storage customer (None for elastic ones)."""

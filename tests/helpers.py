@@ -203,3 +203,110 @@ def oracle_best_first_deltas(prices, baselines, battery, soc_levels, peak_weight
 def dyadic(rng: np.random.Generator, lo_qtr: int, hi_qtr: int) -> float:
     """Random multiple of 1/4 in [lo_qtr/4, hi_qtr/4]; keeps float math exact."""
     return int(rng.integers(lo_qtr, hi_qtr + 1)) / 4.0
+
+
+# --- scalar reference for the battery DP kernel -------------------------------
+# The per-solve kernel as it stood before its structure was memoized and its
+# candidate draws precomputed. Tests demand that the optimized kernel returns
+# exactly (==) what this one does; do not optimize it.
+
+def _reference_nearest_index(grid: np.ndarray, value: float) -> int:
+    return int(np.argmin(np.abs(grid - value)))
+
+
+def _reference_transitions(battery: Battery, grid: np.ndarray):
+    out = []
+    for i, soc in enumerate(grid):
+        cands = [(i, 0.0, 0.0)]
+        j = _reference_nearest_index(grid, min(soc + battery.max_charge_rate, battery.capacity))
+        if j != i:
+            delta = grid[j] - soc
+            cands.append((j, delta, delta / battery.charge_efficiency))
+        j = _reference_nearest_index(grid, max(soc - battery.max_discharge_rate, 0.0))
+        if j != i:
+            delta = grid[j] - soc
+            cands.append((j, delta, delta * battery.discharge_efficiency))
+        cands.sort(key=lambda c: (abs(c[1]), c[1]))
+        out.append(cands)
+    return out
+
+
+def _reference_solve_capped(prices, baselines, transitions, start, cap):
+    steps = len(prices)
+    levels = len(transitions)
+    value_next = [0.0] * levels
+    best = []
+    for t in range(steps - 1, -1, -1):
+        value_t = [math.inf] * levels
+        best_t = [None] * levels
+        price = prices[t]
+        baseline = baselines[t]
+        for i in range(levels):
+            for j, delta, grid_delta in transitions[i]:
+                draw = baseline + grid_delta
+                if draw < 0.0:
+                    draw = 0.0
+                if cap is not None and draw > cap:
+                    continue
+                cost = price * draw + value_next[j]
+                if cost < value_t[i]:
+                    value_t[i] = cost
+                    best_t[i] = (j, delta)
+        value_next = value_t
+        best.append(best_t)
+    best.reverse()
+
+    if not math.isfinite(value_next[start]):
+        return math.inf, []
+    plan = []
+    state = start
+    for t in range(steps):
+        decision = best[t][state]
+        assert decision is not None
+        plan.append(decision)
+        state = decision[0]
+    return value_next[start], plan
+
+
+def reference_schedule(
+    price_window, baseline_window, battery: Battery, soc_levels: int, peak_weight: float
+):
+    """(deltas, next SOC indices) of the cost-minimal plan, solved cap by cap."""
+    grid = np.linspace(0.0, battery.capacity, soc_levels)
+    start = _reference_nearest_index(grid, battery.soc)
+    transitions = _reference_transitions(battery, grid)
+
+    if peak_weight == 0.0:
+        _, plan = _reference_solve_capped(price_window, baseline_window, transitions, start, None)
+    else:
+        caps = sorted(
+            {
+                max(0.0, baseline_window[t] + grid_delta)
+                for t in range(len(baseline_window))
+                for cands in transitions
+                for _, _, grid_delta in cands
+            }
+        )
+        best_total = math.inf
+        plan = []
+        for cap in caps:
+            cost, cap_plan = _reference_solve_capped(
+                price_window, baseline_window, transitions, start, cap
+            )
+            total = cost + peak_weight * cap
+            if total < best_total:
+                best_total = total
+                plan = cap_plan
+
+    deltas = np.array([delta for _, delta in plan], dtype=float)
+    indices = np.array([j for j, _ in plan], dtype=int)
+    return deltas, indices
+
+
+def reference_first_move(battery: Battery, soc_levels: int, baseline: float, deltas, indices):
+    """(grid draw, new SOC) after executing the first move of a reference_schedule
+    plan, as storage_demand does."""
+    grid = np.linspace(0.0, battery.capacity, soc_levels)
+    draw = oracle_draw(battery, baseline, deltas[0])
+    new_soc = float(min(max(grid[indices[0]], 0.0), battery.capacity))
+    return draw, new_soc

@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,8 +23,66 @@ from .helpers import (
     oracle_best_cost,
     oracle_best_first_deltas,
     oracle_draw,
+    reference_first_move,
+    reference_schedule,
     storage_spec,
 )
+
+
+def _window(rnd: random.Random, steps: int, kind: str, hi: float) -> list[float]:
+    if kind == "zero":
+        return [0.0] * steps
+    if kind == "dyadic":
+        return [rnd.randint(0, int(4 * hi)) / 4.0 for _ in range(steps)]
+    return [rnd.uniform(0.0, hi) for _ in range(steps)]
+
+
+def _random_battery(rnd: random.Random) -> tuple[Battery, int]:
+    """A battery and SOC level count. Dyadic batteries have their rates on the
+    grid; an even number of levels puts capacity/2 off the grid. Half the
+    batteries have at most the example config's 3 levels."""
+    levels = rnd.randint(2, rnd.choice((3, 6)))
+    if rnd.random() < 0.5:
+        spacing = rnd.randint(1, 8) / 4.0
+        battery = Battery(
+            capacity=(levels - 1) * spacing,
+            max_charge_rate=rnd.randint(1, levels - 1) * spacing,
+            max_discharge_rate=rnd.randint(1, levels - 1) * spacing,
+            charge_efficiency=rnd.choice([0.5, 0.75, 1.0]),
+            discharge_efficiency=rnd.choice([0.5, 0.75, 1.0]),
+            soc=0.0,
+        )
+    else:
+        battery = Battery(
+            capacity=rnd.uniform(0.5, 6.0),
+            max_charge_rate=rnd.uniform(0.2, 4.0),
+            max_discharge_rate=rnd.uniform(0.2, 4.0),
+            charge_efficiency=rnd.uniform(0.6, 1.0),
+            discharge_efficiency=rnd.uniform(0.6, 1.0),
+            soc=0.0,
+        )
+    return battery, levels
+
+
+def _random_instance(rnd: random.Random, batteries: list[tuple[Battery, int]]):
+    """One DP input on one of a pool's batteries, as in a scenario. Dyadic
+    windows are exact in float and produce ties. Half the windows are at most
+    the example config's 3 steps long."""
+    battery, levels = rnd.choice(batteries)
+    battery = replace(
+        battery,
+        soc=rnd.choice(
+            [0.0, battery.capacity / 2.0, battery.capacity, rnd.uniform(0.0, battery.capacity)]
+        ),
+    )
+    steps = rnd.randint(1, rnd.choice((3, 6)))
+    kinds = ("zero", "dyadic", "dyadic", "uniform", "uniform")
+    prices = _window(rnd, steps, rnd.choice(kinds), 4.0)
+    baselines = _window(rnd, steps, rnd.choice(kinds), 3.0)
+    peak_weight = rnd.choice([0.0, 0.0, 0.0, 0.0, 0.25, 0.5, 1.0, rnd.uniform(0.0, 0.3)])
+    if rnd.random() < 0.5:
+        prices, baselines = np.asarray(prices), np.asarray(baselines)
+    return prices, baselines, battery, levels, peak_weight
 
 
 class TestElasticDemand:
@@ -114,6 +175,11 @@ class TestDpSchedule:
         with pytest.raises(ValueError):
             dp_schedule([1.0], [1.0], make_battery(), 1, 0.0)
 
+    def test_rejects_negative_or_nan_peak_weight(self):
+        for peak_weight in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="peak_weight"):
+                dp_schedule([1.0], [1.0], make_battery(), 3, peak_weight)
+
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_bruteforce_enumeration(self, seed):
         rng = np.random.default_rng(seed)
@@ -137,6 +203,35 @@ class TestDpSchedule:
         draws = [oracle_draw(battery, b, d) for b, d in zip(baselines, plan)]
         cost = customer_cost(draws, prices, peak_weight)
         assert cost == oracle_best_cost(prices, baselines, battery, levels, peak_weight)
+
+    def test_equal_peak_totals_keep_the_smaller_cap(self):
+        # Both plans cost 7.25 in total: 4.75 + 2.5 at cap 2.5, 4.5 + 2.75 at
+        # cap 2.75. The smaller cap wins.
+        battery = Battery(0.5, 0.25, 0.25, 0.75, 1.0, soc=0.25)
+        prices, baselines = [1.5, 1.0, 2.75], [0.25, 2.75, 0.75]
+        plan = dp_schedule(prices, baselines, battery, 3, 1.0)
+        assert plan.tolist() == [0.25, -0.25, -0.25]
+        assert plan.tolist() == reference_schedule(prices, baselines, battery, 3, 1.0)[0].tolist()
+        draws = [oracle_draw(battery, b, d) for b, d in zip(baselines, plan)]
+        assert customer_cost(draws, prices, 1.0) == oracle_best_cost(
+            prices, baselines, battery, 3, 1.0
+        )
+
+    def test_equals_scalar_reference_exactly(self):
+        rnd = random.Random(2024)
+        batteries = [_random_battery(rnd) for _ in range(64)]
+        for _ in range(5000):
+            prices, baselines, battery, levels, peak_weight = _random_instance(rnd, batteries)
+            deltas, indices = reference_schedule(prices, baselines, battery, levels, peak_weight)
+            plan = dp_schedule(prices, baselines, battery, levels, peak_weight)
+            assert plan.tolist() == deltas.tolist()
+
+            spec = storage_spec(
+                tuple(baselines), battery, peak_weight=peak_weight, soc_levels=levels
+            )
+            assert storage_demand(spec, prices, baselines, battery.soc) == (
+                reference_first_move(battery, levels, baselines[0], deltas, indices)
+            )
 
 
 class TestStorageDemand:
@@ -180,6 +275,28 @@ class TestStorageDemand:
     def test_rejects_elastic_spec(self):
         with pytest.raises(ValueError):
             storage_demand(elastic_spec((1.0,)), [0.1], [1.0], 0.0)
+
+    def test_follows_battery_changed_in_place(self):
+        # The per-battery DP structure is memoized; Battery is mutable, so a
+        # solve after a change in place must see the new limits.
+        def battery(charge_rate: float) -> Battery:
+            return Battery(4.0, charge_rate, 4.0, 1.0, 1.0, soc=0.0)
+
+        prices, baselines = [0.1, 5.0], [1.0, 3.0]
+        spec = storage_spec((1.0, 3.0), battery(1.0), soc_levels=5)
+        assert storage_demand(spec, prices, baselines, 0.0) == (2.0, 1.0)
+
+        spec.battery.max_charge_rate = 2.0
+        fresh = storage_spec((1.0, 3.0), battery(2.0), soc_levels=5)
+        assert storage_demand(spec, prices, baselines, 0.0) == (
+            storage_demand(fresh, prices, baselines, 0.0)
+        ) == (3.0, 2.0)
+
+    def test_rejects_soc_outside_battery(self):
+        spec = storage_spec((1.0,), make_battery(capacity=4.0), soc_levels=5)
+        for soc in (-0.5, 4.5):
+            with pytest.raises(ValueError, match="soc must lie in"):
+                storage_demand(spec, [0.1], [1.0], soc)
 
     def test_deterministic(self):
         spec = storage_spec((2.0, 3.0), soc_levels=5)
