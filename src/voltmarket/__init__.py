@@ -31,6 +31,7 @@ from .customers import (
 from .env import (
     EpisodeLifecycleError,
     GridEnv,
+    ResponseTable,
     Scenario,
     ScenarioValidationError,
     StepOutcome,

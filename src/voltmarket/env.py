@@ -77,27 +77,55 @@ class StepOutcome:
     done: bool
 
 
+# One step's key: (t, price or None for the reset preview, every customer's SOC).
+_StepKey = tuple[int, float | None, tuple[float | None, ...]]
+# Its value: per-customer draws after cooperative adjustment, and the next SOCs.
+_Response = tuple[np.ndarray, tuple[float | None, ...]]
+
+
+class ResponseTable:
+    """Customer responses to one env step, memoized for the envs given this table.
+
+    Within one scenario the whole response is a function of (t, price, SOCs):
+    t fixes every baseline window and the renewable generation that is the
+    cooperative capacity, the price fixes every customer's price window and
+    the SOCs fix every battery DP's start. So a hit returns the same bits a
+    recompute would, on one condition: no Battery of the scenario is mutated
+    while a table that has seen it is alive.
+
+    Memos are kept per scenario object, and the table holds each scenario it
+    has seen, so no response can be served to another scenario. The table
+    lives as long as its owner keeps it: meta_train and evaluate_adaptation
+    make one per call; a GridEnv given none makes a private one.
+    """
+
+    def __init__(self) -> None:
+        self._memos: dict[int, tuple[Scenario, dict[_StepKey, _Response]]] = {}
+
+    def memo(self, scenario: Scenario) -> dict[_StepKey, _Response]:
+        entry = self._memos.get(id(scenario))
+        if entry is None:
+            entry = self._memos[id(scenario)] = (scenario, {})
+        return entry[1]
+
+
 class GridEnv:
     """Single-scenario episodic simulator.
 
-    One instance is strictly sequential (battery state serializes steps);
-    independent instances share nothing and may run in parallel.
+    One instance is strictly sequential (battery state serializes steps).
+    Instances given one ResponseTable share its memo and must run in one
+    thread; instances with private tables share nothing.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, *, responses: ResponseTable | None = None):
         problems = scenario.violations()
         if problems:
             raise ScenarioValidationError(problems)
         self.scenario = scenario
         self._t: int | None = None
         self._done = False
-        self._soc: list[float | None] = [None] * len(scenario.customers)
-        # Receding-horizon schedules keyed by (price, t, soc); the announced
-        # price window is a persistence of a single value, so keys stay finite
-        # whenever prices come from a discrete grid.
-        self._dp_cache: list[dict[tuple[float, int, float], tuple[float, float]]] = [
-            {} for _ in scenario.customers
-        ]
+        self._soc: tuple[float | None, ...] = (None,) * len(scenario.customers)
+        self._responses = (responses if responses is not None else ResponseTable()).memo(scenario)
         self._cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
         self.last_customer_demands: np.ndarray | None = None
 
@@ -119,10 +147,10 @@ class GridEnv:
         scenario = self.scenario
         self._t = 0
         self._done = False
-        self._soc = [
+        self._soc = tuple(
             spec.battery.capacity / 2.0 if spec.kind == "storage" else None
             for spec in scenario.customers
-        ]
+        )
         demands = self._aggregate_demand(0, None, self._renewable(0), commit=False)
         self.last_customer_demands = demands
         return build_state_window(
@@ -186,12 +214,27 @@ class GridEnv:
         (reset preview). Storage customers see a persistence window of the
         announced price; only the first scheduled move is executed. The
         renewable generation at t is the cooperative customers' capacity
-        signal.
+        signal. The response is memoized in the env's ResponseTable under
+        (t, price, SOCs); a hit skips every customer and the cooperative
+        adjustment. commit=True moves the batteries to the response's next
+        SOCs. The caller always gets a fresh array.
         """
+        key = (t, price, self._soc)
+        response = self._responses.get(key)
+        if response is None:
+            response = self._respond(t, price, capacity_signal)
+            self._responses[key] = response
+        demands, next_soc = response
+        if commit:
+            self._soc = next_soc
+        return demands.copy()
+
+    def _respond(self, t: int, price: float | None, capacity_signal: float) -> _Response:
         scenario = self.scenario
         window = scenario.horizon.window_length
         demands = np.empty(len(scenario.customers))
         baselines_now = np.empty(len(scenario.customers))
+        next_soc = list(self._soc)
         for i, spec in enumerate(scenario.customers):
             baseline_window = spec.baseline_load[t : t + window]
             customer_price = spec.reference_price if price is None else price
@@ -199,17 +242,9 @@ class GridEnv:
             if spec.kind == "storage":
                 soc = self._soc[i]
                 assert soc is not None
-                key = (customer_price, t, soc)
-                cached = self._dp_cache[i].get(key)
-                if cached is None:
-                    cached = storage_demand(
-                        spec, (customer_price,) * window, baseline_window, soc
-                    )
-                    self._dp_cache[i][key] = cached
-                draw, new_soc = cached
-                if commit:
-                    self._soc[i] = new_soc
-                demands[i] = draw
+                demands[i], next_soc[i] = storage_demand(
+                    spec, (customer_price,) * window, baseline_window, soc
+                )
             else:
                 demands[i] = elastic_demand(
                     baseline_window[0],
@@ -217,7 +252,10 @@ class GridEnv:
                     spec.elasticity,
                     spec.reference_price,
                 )
-        return cooperative_adjustment(demands, baselines_now, self._cooperative, capacity_signal)
+        adjusted = cooperative_adjustment(
+            demands, baselines_now, self._cooperative, capacity_signal
+        )
+        return adjusted, tuple(next_soc)
 
     def battery_soc(self, customer_index: int) -> float | None:
         """Current SOC of a storage customer (None for elastic ones)."""

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .agent import PolicyParams, PriceGrid
-from .env import GridEnv, Scenario
+from .env import GridEnv, ResponseTable, Scenario
 from .reward import RewardWeights
 from .telemetry import objective_returns
 from .training import EpsilonSchedule, learn_on_env, run_greedy_episode
@@ -68,17 +68,21 @@ def adapt(
     weights: RewardWeights = RewardWeights(),
     r1_mode: str = "price_diff",
     on_step: Callable[[int, PolicyParams], None] | None = None,
+    *,
+    responses: ResponseTable | None = None,
 ) -> PolicyParams:
     """Run k_steps of epsilon-greedy Q-learning from init on one scenario.
 
     The input parameters are never mutated; updates build fresh values.
-    on_step is forwarded to learn_on_env.
+    on_step is forwarded to learn_on_env. responses, if given, is the
+    ResponseTable shared with the caller's other envs; by default the env
+    keeps a private one.
     """
     if k_steps < 1:
         raise ValueError(f"k_steps must be >= 1, got {k_steps}")
     if isinstance(epsilon_schedule, (int, float)):
         epsilon_schedule = EpsilonSchedule.constant(float(epsilon_schedule))
-    env = GridEnv(scenario)
+    env = GridEnv(scenario, responses=responses)
     rng = np.random.default_rng(agent_seed)
     adapted, _ = learn_on_env(
         env,
@@ -128,6 +132,7 @@ def meta_train(
     meta_lr. Stops at meta_iterations or when the rolling mean (window 3) of
     the per-iteration greedy evaluation return crosses the performance
     threshold, whichever fires first; the result records which one did.
+    Every env of the call shares one ResponseTable, which dies with the call.
     """
     if not pool:
         raise ValueError("meta_train requires a non-empty scenario pool")
@@ -137,6 +142,7 @@ def meta_train(
         )
 
     task_rng = np.random.default_rng(seed)
+    responses = ResponseTable()
     params = init
     result = MetaResult(
         params=params,
@@ -161,6 +167,7 @@ def meta_train(
                 agent_seed=_adaptation_seed(seed, iteration, slot),
                 weights=weights,
                 r1_mode=r1_mode,
+                responses=responses,
             )
             adapted_weights.append(adapted.weights)
 
@@ -172,7 +179,9 @@ def meta_train(
             np.mean(
                 [
                     objective_returns(
-                        run_greedy_episode(pool[i], params, grid, weights, r1_mode)
+                        run_greedy_episode(
+                            pool[i], params, grid, weights, r1_mode, responses=responses
+                        )
                     )[2]
                     for i in task_indices
                 ]
@@ -227,10 +236,6 @@ class SampleEfficiencyReport:
     curves: list[AdaptationCurve] = field(default_factory=list)
 
 
-def _greedy_return(scenario, params, grid, weights, r1_mode) -> float:
-    return objective_returns(run_greedy_episode(scenario, params, grid, weights, r1_mode))[2]
-
-
 def evaluate_adaptation(
     meta_init: PolicyParams,
     baseline_init: PolicyParams,
@@ -258,7 +263,8 @@ def evaluate_adaptation(
     epsilon is constant and the RNG stream is the run's own, so the params
     after c of its steps are those of a separate c-step run. Step 0 is the
     init itself, evaluated once per scenario, and step k_steps is the
-    entry's return.
+    entry's return. Every env of the call shares one ResponseTable, which
+    dies with the call.
     """
     if not heldout:
         raise ValueError("evaluate_adaptation requires held-out scenarios")
@@ -277,14 +283,19 @@ def evaluate_adaptation(
     per_scenario_meta: list[float] = []
     per_scenario_baseline: list[float] = []
 
+    responses = ResponseTable()
+
+    def greedy_return(scenario: Scenario, params: PolicyParams) -> float:
+        record = run_greedy_episode(scenario, params, grid, weights, r1_mode, responses=responses)
+        return objective_returns(record)[2]
+
     inits = (meta_init, baseline_init)
     for idx, scenario in enumerate(heldout):
         meta_returns = []
         baseline_returns = []
         curve_sums = [np.zeros(len(checkpoints)) for _ in inits]
         init_returns = [
-            _greedy_return(scenario, init, grid, weights, r1_mode) if checkpoints else None
-            for init in inits
+            greedy_return(scenario, init) if checkpoints else None for init in inits
         ]
         for s in range(n_seeds):
             agent_seed = _adaptation_seed(scenario.seed, s)
@@ -308,11 +319,12 @@ def evaluate_adaptation(
                     weights=weights,
                     r1_mode=r1_mode,
                     on_step=keep,
+                    responses=responses,
                 )
-                pair.append(_greedy_return(scenario, adapted, grid, weights, r1_mode))
+                pair.append(greedy_return(scenario, adapted))
                 returns = {0: init_returns[which], k_steps: pair[-1]}
                 for checkpoint, params in snapshots.items():
-                    returns[checkpoint] = _greedy_return(scenario, params, grid, weights, r1_mode)
+                    returns[checkpoint] = greedy_return(scenario, params)
                 for ci, checkpoint in enumerate(checkpoints):
                     curve_sums[which][ci] += returns[checkpoint] / n_seeds
             meta_returns.append(pair[0])

@@ -21,7 +21,7 @@ from .agent import (
     window_channels,
     zeros_params,
 )
-from .env import GridEnv, Scenario
+from .env import GridEnv, ResponseTable, Scenario
 from .reward import RewardWeights, breakdown
 from .telemetry import EpisodeRecord, EpisodeStep, ViolationLog, objective_returns
 
@@ -200,9 +200,10 @@ def _rollout(
     price_for_state,
     weights: RewardWeights,
     r1_mode: str,
+    responses: ResponseTable | None = None,
 ) -> EpisodeRecord:
     """One full episode driven by a state -> price function; logs every step."""
-    env = GridEnv(scenario)
+    env = GridEnv(scenario, responses=responses)
     state = env.reset()
     record = EpisodeRecord(alpha1=weights.alpha1, alpha2=weights.alpha2)
     for t in range(scenario.episode_length):
@@ -238,13 +239,19 @@ def run_greedy_episode(
     grid: PriceGrid,
     weights: RewardWeights = RewardWeights(),
     r1_mode: str = "price_diff",
+    *,
+    responses: ResponseTable | None = None,
 ) -> EpisodeRecord:
-    """Deterministic evaluation episode under the greedy policy."""
+    """Deterministic evaluation episode under the greedy policy.
+
+    responses, if given, is the ResponseTable shared with the caller's other
+    envs; by default the episode's env keeps a private one.
+    """
 
     def choose(state):
         return select_action(params, featurize(state, params.scaling), 0.0, grid).price
 
-    return _rollout(scenario, choose, weights, r1_mode)
+    return _rollout(scenario, choose, weights, r1_mode, responses)
 
 
 def run_fixed_price_episode(

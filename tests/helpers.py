@@ -14,7 +14,10 @@ from voltmarket import (
     Scenario,
     ScenarioTraces,
     WeatherSample,
+    cooperative_adjustment,
     customer_cost,
+    elastic_demand,
+    storage_demand,
 )
 
 
@@ -310,3 +313,40 @@ def reference_first_move(battery: Battery, soc_levels: int, baseline: float, del
     draw = oracle_draw(battery, baseline, deltas[0])
     new_soc = float(min(max(grid[indices[0]], 0.0), battery.capacity))
     return draw, new_soc
+
+
+# --- unmemoized customer response, as GridEnv computed it per step -------
+
+
+def reference_customer_response(scenario: Scenario, t: int, price, soc, capacity_signal: float):
+    """(raw draws, draws after cooperative adjustment, next SOCs) at timestep t.
+
+    The per-customer loop of GridEnv._aggregate_demand before its response
+    memo, with every storage solve run afresh; price=None is the reset
+    preview, which prices each customer at its reference price.
+    """
+    window = scenario.horizon.window_length
+    cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
+    demands = np.empty(len(scenario.customers))
+    baselines_now = np.empty(len(scenario.customers))
+    next_soc = list(soc)
+    for i, spec in enumerate(scenario.customers):
+        baseline_window = spec.baseline_load[t : t + window]
+        customer_price = spec.reference_price if price is None else price
+        baselines_now[i] = baseline_window[0]
+        if spec.kind == "storage":
+            assert soc[i] is not None
+            draw, new_soc = storage_demand(
+                spec, (customer_price,) * window, baseline_window, soc[i]
+            )
+            next_soc[i] = new_soc
+            demands[i] = draw
+        else:
+            demands[i] = elastic_demand(
+                baseline_window[0],
+                customer_price,
+                spec.elasticity,
+                spec.reference_price,
+            )
+    adjusted = cooperative_adjustment(demands, baselines_now, cooperative, capacity_signal)
+    return demands, adjusted, tuple(next_soc)

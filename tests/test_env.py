@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from voltmarket import (
     EpisodeLifecycleError,
     GridEnv,
     Horizon,
+    ResponseTable,
     Scenario,
     ScenarioValidationError,
     WeatherSample,
+    build_state_window,
     renewable_generation,
 )
 
@@ -17,8 +21,10 @@ from .helpers import (
     make_battery,
     oracle_best_first_deltas,
     oracle_draw,
+    reference_customer_response,
     small_scenario,
     storage_spec,
+    varied_traces,
 )
 
 
@@ -254,3 +260,131 @@ class TestStep:
                 if spec.kind == "storage":
                     soc = env.battery_soc(i)
                     assert 0.0 <= soc <= spec.battery.capacity
+
+
+def _window_fields(window):
+    return (
+        window.demand.tolist(),
+        window.renewable.tolist(),
+        window.purchase_price.tolist(),
+        window.weather,
+        window.temporal,
+        window.t,
+    )
+
+
+class TestResponseTable:
+    GRID_PRICES = (0.05, 0.15, 0.25, 0.35, 0.45)
+
+    def congested_scenario(self, episode_length=6, base_level=6.0):
+        # Two cooperative customers and a renewable supply well below total
+        # demand, so cooperative_adjustment mostly takes its scaling path;
+        # soc_levels=4 puts the initial SOC (capacity/2) off the SOC grid.
+        p = 2
+        length = episode_length + p + 1
+        traces = varied_traces(length, seed=11, solar_capacity_kw=8.0, wind_capacity_kw=2.0)
+        base = tuple(base_level + 2.0 * math.sin(k / 3.0) for k in range(length))
+        peaky = tuple(4.0 + 3.0 * math.cos(k / 2.0) for k in range(length))
+        customers = (
+            storage_spec(base, cooperative=True, soc_levels=4),
+            elastic_spec(peaky, cooperative=True),
+            storage_spec(peaky, make_battery(capacity=6.0, rate=1.5), peak_weight=0.3, soc_levels=3),
+            elastic_spec(base, elasticity=-0.5),
+        )
+        return Scenario(customers, traces, Horizon(p, 60), episode_length, seed=9)
+
+    @staticmethod
+    def renewable(scenario, t):
+        traces = scenario.traces
+        return renewable_generation(
+            traces.weather[t],
+            traces.solar_capacity_kw,
+            traces.wind_capacity_kw,
+            scenario.horizon.timestep_minutes,
+        )
+
+    def test_shared_table_matches_unmemoized_reference_exactly(self):
+        scenario = self.congested_scenario()
+        traces, horizon = scenario.traces, scenario.horizon
+        initial_soc = tuple(
+            spec.battery.capacity / 2.0 if spec.kind == "storage" else None
+            for spec in scenario.customers
+        )
+        table = ResponseTable()
+        envs = [GridEnv(scenario, responses=table) for _ in range(2)]
+        state = [None, None]  # per env: (t, SOCs) on the reference path
+        rng = np.random.default_rng(5)
+        responses = congested = off_grid = 0
+        for _ in range(400):
+            i = int(rng.integers(2))
+            env = envs[i]
+            if state[i] is None or env.done or rng.random() < 0.1:
+                window = env.reset()
+                raw, demands, _ = reference_customer_response(
+                    scenario, 0, None, initial_soc, self.renewable(scenario, 0)
+                )
+                state[i] = (0, initial_soc)
+                expected = build_state_window(traces, 0, horizon, float(demands.sum()))
+                assert _window_fields(window) == _window_fields(expected)
+            else:
+                t, soc = state[i]
+                if rng.random() < 0.8:
+                    price = float(rng.choice(self.GRID_PRICES))
+                else:
+                    price = float(rng.uniform(0.0, 0.5))
+                    off_grid += 1
+                outcome = env.step(price)
+                e_renewable = self.renewable(scenario, t)
+                raw, demands, next_soc = reference_customer_response(
+                    scenario, t, price, soc, e_renewable
+                )
+                e_demand = float(demands.sum())
+                done = t + 1 == scenario.episode_length
+                window_t = min(t + 1, len(traces) - horizon.p - 1)
+                expected = build_state_window(traces, window_t, horizon, e_demand)
+                assert _window_fields(outcome.next_state) == _window_fields(expected)
+                assert outcome.e_demand == e_demand
+                assert outcome.e_renewable == e_renewable
+                assert outcome.price_sold == price
+                assert outcome.purchase_price == traces.purchase_price[t]
+                assert outcome.done == done
+                state[i] = (t + 1, next_soc)
+            responses += 1
+            congested += raw.tolist() != demands.tolist()
+            assert env.last_customer_demands.tolist() == demands.tolist()
+            soc = state[i][1]
+            assert [env.battery_soc(c) for c in range(len(soc))] == list(soc)
+        # The run covered the scaling path, off-grid prices and memo hits.
+        assert congested > 100
+        assert off_grid > 20
+        assert len(table.memo(scenario)) < responses - 100
+
+    def test_mutating_last_demands_leaves_the_memo_intact(self):
+        scenario = self.congested_scenario()
+        table = ResponseTable()
+        env = GridEnv(scenario, responses=table)
+        env.reset()
+        preview = env.last_customer_demands.tolist()
+        env.last_customer_demands[:] = -1.0
+        env.step(0.25)
+        first = env.last_customer_demands.tolist()
+        env.last_customer_demands[:] = -1.0
+        entries = len(table.memo(scenario))
+        env.reset()
+        assert env.last_customer_demands.tolist() == preview
+        env.step(0.25)
+        assert env.last_customer_demands.tolist() == first
+        assert len(table.memo(scenario)) == entries
+
+    def test_one_table_keeps_scenarios_apart(self):
+        a = self.congested_scenario()
+        b = self.congested_scenario(base_level=7.0)
+        table = ResponseTable()
+        shared = [GridEnv(s, responses=table) for s in (a, b)]
+        private = [GridEnv(s) for s in (a, b)]
+        for env in shared + private:
+            env.reset()
+        for price in (0.15, 0.25, 0.15):
+            got = [env.step(price).e_demand for env in shared]
+            assert got == [env.step(price).e_demand for env in private]
+        assert got[0] != got[1]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import voltmarket.env
 from voltmarket import (
     MetaConfig,
     PriceGrid,
+    ResponseTable,
     adapt,
     evaluate_adaptation,
     meta_train,
@@ -273,3 +275,53 @@ class TestEvaluateAdaptation:
             for e in entries:
                 assert e.meta_return == separate_return(meta_init, scenario, k_steps, e.seed)
                 assert e.baseline_return == separate_return(baseline, scenario, k_steps, e.seed)
+
+
+class TestResponseTableLifetime:
+    """No response outlives the call that owns its table: every call that is
+    given no table solves its storage customers again."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = voltmarket.env.storage_demand
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(voltmarket.env, "storage_demand", counting)
+        return calls
+
+    def test_each_meta_train_call_solves_afresh(self, solves):
+        pool = micro_pool()
+        init = make_init(pool)
+        config = TestMetaTrain().config()
+        counts = []
+        for _ in range(2):
+            before = len(solves)
+            meta_train(pool, config, seed=7, grid=GRID, init=init)
+            counts.append(len(solves) - before)
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
+    def test_each_adapt_without_a_table_solves_afresh(self, solves):
+        pool = micro_pool()
+        init = make_init(pool)
+        counts = []
+        for _ in range(2):
+            before = len(solves)
+            adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4)
+            counts.append(len(solves) - before)
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
+    def test_adapt_given_a_table_reuses_its_responses(self, solves):
+        pool = micro_pool()
+        init = make_init(pool)
+        table = ResponseTable()
+        a = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4, responses=table)
+        before = len(solves)
+        b = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4, responses=table)
+        assert len(solves) == before
+        assert a.weights.tolist() == b.weights.tolist()
