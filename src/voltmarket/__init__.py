@@ -55,6 +55,7 @@ from .model import (
     build_state_window,
     encode_temporal,
     renewable_generation,
+    with_demand,
 )
 from .pool import PoolConfig, PoolConfigError, build_scenario_pool, stratified_midpoints
 from .reward import (

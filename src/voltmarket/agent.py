@@ -15,6 +15,7 @@ from .model import StateWindow
 # temperature, irradiance, wind, hour_sin, hour_cos. A constant bias is
 # appended after scaling, so F = 8 * (p + 1) + 1.
 CHANNELS_PER_STEP = 8
+_BIAS = np.ones(1)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -109,7 +110,7 @@ class PolicyParams:
                 f"weights have {self.weights.shape[1]} columns but scaling implies "
                 f"{self.scaling.n_raw + 1} features (raw + bias)"
             )
-        if not np.all(np.isfinite(self.weights)):
+        if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
 
     @property
@@ -132,14 +133,7 @@ class Transition:
 
 def window_channels(window: StateWindow) -> np.ndarray:
     """Flatten the observation window channel by channel (no scaling, no bias)."""
-    temps = np.array([w.temperature_c for w in window.weather])
-    irr = np.array([w.solar_irradiance for w in window.weather])
-    wind = np.array([w.wind_speed for w in window.weather])
-    hsin = np.array([tf.hour_sin for tf in window.temporal])
-    hcos = np.array([tf.hour_cos for tf in window.temporal])
-    return np.concatenate(
-        [window.demand, window.renewable, window.purchase_price, temps, irr, wind, hsin, hcos]
-    )
+    return np.concatenate((window.demand, window.exogenous))
 
 
 def featurize(window: StateWindow, scaling: FeatureScaling) -> np.ndarray:
@@ -150,7 +144,7 @@ def featurize(window: StateWindow, scaling: FeatureScaling) -> np.ndarray:
             f"scaling covers {scaling.n_raw} features but window flattens to {len(raw)}"
         )
     scaled = (raw - scaling.mean) / scaling.scale
-    return np.append(scaled, 1.0)
+    return np.concatenate((scaled, _BIAS))
 
 
 def n_features(horizon_p: int) -> int:
@@ -185,7 +179,7 @@ def select_action(
         if rng.random() < epsilon:
             idx = int(rng.integers(grid.k))
             return PriceSignal(price=grid.levels[idx], level_index=idx, clamped=False)
-    idx = int(np.argmax(q_values(params, features)))
+    idx = int(q_values(params, features).argmax())
     return PriceSignal(price=grid.levels[idx], level_index=idx, clamped=False)
 
 
@@ -203,14 +197,14 @@ def td_update(
     Raises TrainingDivergedError with diagnostics when the TD error turns
     non-finite, rather than silently corrupting the weights.
     """
-    if lr <= 0.0 and lr != 0.0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     q_s = q_values(params, transition.features)
     bootstrap = 0.0
     if not transition.done:
-        bootstrap = gamma * float(np.max(q_values(params, transition.next_features)))
+        bootstrap = gamma * float(q_values(params, transition.next_features).max())
     delta = transition.reward + bootstrap - float(q_s[transition.action_index])
     if not math.isfinite(delta):
         raise TrainingDivergedError(

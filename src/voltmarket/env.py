@@ -14,7 +14,7 @@ from .model import (
     ScenarioTraces,
     StateWindow,
     build_state_window,
-    renewable_generation,
+    with_demand,
 )
 
 
@@ -81,10 +81,13 @@ class StepOutcome:
 _StepKey = tuple[int, float | None, tuple[float | None, ...]]
 # Its value: per-customer draws after cooperative adjustment, and the next SOCs.
 _Response = tuple[np.ndarray, tuple[float | None, ...]]
+# One scenario's memos: the scenario, its responses and its template windows by t.
+_ScenarioMemo = tuple[Scenario, dict[_StepKey, _Response], dict[int, StateWindow]]
 
 
 class ResponseTable:
-    """Customer responses to one env step, memoized for the envs given this table.
+    """Customer responses and observation windows of env steps, memoized for
+    the envs given this table.
 
     Within one scenario the whole response is a function of (t, price, SOCs):
     t fixes every baseline window and the renewable generation that is the
@@ -93,20 +96,36 @@ class ResponseTable:
     recompute would, on one condition: no Battery of the scenario is mutated
     while a table that has seen it is alive.
 
+    The table also keeps, per t, a template window: build_state_window at t
+    with zero demand. Every field of a window except demand depends only on
+    (traces, horizon, t), and traces and horizon are fields of the scenario,
+    so an env hands out with_demand(template, demand): the same floats a
+    fresh build_state_window would hold, sharing the read-only exogenous row
+    and getting its own demand array. The template's renewable[0] is also
+    the step's renewable generation.
+
     Memos are kept per scenario object, and the table holds each scenario it
-    has seen, so no response can be served to another scenario. The table
-    lives as long as its owner keeps it: meta_train and evaluate_adaptation
-    make one per call; a GridEnv given none makes a private one.
+    has seen, so nothing can be served to another scenario. The table lives
+    as long as its owner keeps it: meta_train and evaluate_adaptation make
+    one per call; a GridEnv given none makes a private one.
     """
 
     def __init__(self) -> None:
-        self._memos: dict[int, tuple[Scenario, dict[_StepKey, _Response]]] = {}
+        self._memos: dict[int, _ScenarioMemo] = {}
 
-    def memo(self, scenario: Scenario) -> dict[_StepKey, _Response]:
+    def _entry(self, scenario: Scenario) -> _ScenarioMemo:
         entry = self._memos.get(id(scenario))
         if entry is None:
-            entry = self._memos[id(scenario)] = (scenario, {})
-        return entry[1]
+            entry = self._memos[id(scenario)] = (scenario, {}, {})
+        return entry
+
+    def memo(self, scenario: Scenario) -> dict[_StepKey, _Response]:
+        """The scenario's customer responses, by (t, price, SOCs)."""
+        return self._entry(scenario)[1]
+
+    def windows(self, scenario: Scenario) -> dict[int, StateWindow]:
+        """The scenario's template windows, by t."""
+        return self._entry(scenario)[2]
 
 
 class GridEnv:
@@ -125,7 +144,9 @@ class GridEnv:
         self._t: int | None = None
         self._done = False
         self._soc: tuple[float | None, ...] = (None,) * len(scenario.customers)
-        self._responses = (responses if responses is not None else ResponseTable()).memo(scenario)
+        table = responses if responses is not None else ResponseTable()
+        self._responses = table.memo(scenario)
+        self._windows = table.windows(scenario)
         self._cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
         self.last_customer_demands: np.ndarray | None = None
 
@@ -151,11 +172,10 @@ class GridEnv:
             spec.battery.capacity / 2.0 if spec.kind == "storage" else None
             for spec in scenario.customers
         )
-        demands = self._aggregate_demand(0, None, self._renewable(0), commit=False)
+        template = self._template(0)
+        demands = self._aggregate_demand(0, None, float(template.renewable[0]), commit=False)
         self.last_customer_demands = demands
-        return build_state_window(
-            scenario.traces, 0, scenario.horizon, float(demands.sum())
-        )
+        return with_demand(template, float(demands.sum()))
 
     def step(self, price) -> StepOutcome:
         """Broadcast a retail price, collect adjusted demand, advance time.
@@ -174,7 +194,7 @@ class GridEnv:
 
         scenario = self.scenario
         t = self._t
-        e_renewable = self._renewable(t)
+        e_renewable = float(self._template(t).renewable[0])
         demands = self._aggregate_demand(t, price_value, e_renewable, commit=True)
         self.last_customer_demands = demands
         e_demand = float(demands.sum())
@@ -186,7 +206,7 @@ class GridEnv:
         # episode_length; clamp to the last valid index. Terminal states are
         # never bootstrapped, so only their contents matter for logging.
         window_t = min(self._t, len(scenario.traces) - scenario.horizon.p - 1)
-        next_state = build_state_window(scenario.traces, window_t, scenario.horizon, e_demand)
+        next_state = with_demand(self._template(window_t), e_demand)
         return StepOutcome(
             next_state=next_state,
             e_demand=e_demand,
@@ -196,14 +216,14 @@ class GridEnv:
             done=self._done,
         )
 
-    def _renewable(self, t: int) -> float:
-        traces = self.scenario.traces
-        return renewable_generation(
-            traces.weather[t],
-            traces.solar_capacity_kw,
-            traces.wind_capacity_kw,
-            self.scenario.horizon.timestep_minutes,
-        )
+    def _template(self, t: int) -> StateWindow:
+        """The window at t with zero demand, built on first use per table."""
+        template = self._windows.get(t)
+        if template is None:
+            scenario = self.scenario
+            template = build_state_window(scenario.traces, t, scenario.horizon, 0.0)
+            self._windows[t] = template
+        return template
 
     def _aggregate_demand(
         self, t: int, price: float | None, capacity_signal: float, commit: bool

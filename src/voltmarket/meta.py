@@ -36,7 +36,7 @@ class MetaConfig:
     def __post_init__(self) -> None:
         if self.inner_steps <= 0:
             raise ValueError(f"inner_steps must be > 0, got {self.inner_steps}")
-        if self.inner_lr <= 0.0:
+        if not self.inner_lr > 0.0:
             raise ValueError(f"inner_lr must be > 0, got {self.inner_lr}")
         if not 0.0 <= self.meta_lr <= 1.0:
             raise ValueError(f"meta_lr must lie in [0, 1], got {self.meta_lr}")

@@ -142,9 +142,17 @@ class StateWindow:
     Renewable supply, purchase price, weather and temporal data are read
     directly from the traces (perfect foresight); the demand channel carries
     the current demand persisted forward, since future demand is unobserved.
+
+    exogenous holds the seven non-demand channels as one raw row of
+    7 * (p+1) floats, in feature order: renewable, purchase price,
+    temperature, irradiance, wind, hour sin, hour cos. It is read-only, and
+    renewable and purchase_price are read-only views into it, so windows
+    that differ only in demand can share it (see with_demand). demand is
+    each window's own array.
     """
 
     demand: np.ndarray
+    exogenous: np.ndarray
     renewable: np.ndarray
     purchase_price: np.ndarray
     weather: tuple[WeatherSample, ...]
@@ -153,7 +161,32 @@ class StateWindow:
 
     @property
     def window_length(self) -> int:
-        return len(self.demand)
+        return len(self.renewable)
+
+
+# Demand of a window under construction; with_demand replaces it.
+_NO_DEMAND = np.empty(0)
+
+
+def with_demand(window: StateWindow, demand_now: EnergyKwh) -> StateWindow:
+    """The same window with demand_now persisted over a fresh demand channel.
+
+    Every other field is shared with window, not copied.
+    """
+    demand_now = _require_finite("demand_now", demand_now)
+    if demand_now < 0.0:
+        raise ValueError(f"demand_now must be >= 0, got {demand_now}")
+    demand = np.empty(window.window_length)
+    demand.fill(demand_now)
+    return StateWindow(
+        demand=demand,
+        exogenous=window.exogenous,
+        renewable=window.renewable,
+        purchase_price=window.purchase_price,
+        weather=window.weather,
+        temporal=window.temporal,
+        t=window.t,
+    )
 
 
 def build_state_window(
@@ -168,31 +201,29 @@ def build_state_window(
         raise TraceRangeError(
             f"window [{t}, {t + p}] out of range for traces of length {len(traces)}"
         )
-    demand_now = _require_finite("demand_now", demand_now)
-    if demand_now < 0.0:
-        raise ValueError(f"demand_now must be >= 0, got {demand_now}")
-
-    weather = traces.weather[t : t + p + 1]
-    renewable = np.array(
-        [
-            renewable_generation(
-                w, traces.solar_capacity_kw, traces.wind_capacity_kw, horizon.timestep_minutes
-            )
-            for w in weather
-        ],
-        dtype=float,
-    )
-    purchase = np.array(traces.purchase_price[t : t + p + 1], dtype=float)
-    temporal = tuple(
-        encode_temporal((t + k) * horizon.timestep_minutes, horizon.timestep_minutes)
-        for k in range(p + 1)
-    )
-    demand = np.full(p + 1, demand_now, dtype=float)
-    return StateWindow(
-        demand=demand,
-        renewable=renewable,
-        purchase_price=purchase,
+    n = p + 1
+    step = horizon.timestep_minutes
+    weather = traces.weather[t : t + n]
+    temporal = tuple(encode_temporal((t + k) * step, step) for k in range(n))
+    row = [
+        renewable_generation(w, traces.solar_capacity_kw, traces.wind_capacity_kw, step)
+        for w in weather
+    ]
+    row += traces.purchase_price[t : t + n]
+    row += [w.temperature_c for w in weather]
+    row += [w.solar_irradiance for w in weather]
+    row += [w.wind_speed for w in weather]
+    row += [tf.hour_sin for tf in temporal]
+    row += [tf.hour_cos for tf in temporal]
+    exogenous = np.array(row, dtype=float)
+    exogenous.setflags(write=False)
+    window = StateWindow(
+        demand=_NO_DEMAND,
+        exogenous=exogenous,
+        renewable=exogenous[:n],
+        purchase_price=exogenous[n : 2 * n],
         weather=weather,
         temporal=temporal,
         t=t,
     )
+    return with_demand(window, demand_now)

@@ -4,6 +4,7 @@ implementation so the dual-route checks stay honest)."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,10 +14,14 @@ from voltmarket import (
     Horizon,
     Scenario,
     ScenarioTraces,
+    TemporalFeatures,
+    TraceRangeError,
     WeatherSample,
     cooperative_adjustment,
     customer_cost,
     elastic_demand,
+    encode_temporal,
+    renewable_generation,
     storage_demand,
 )
 
@@ -350,3 +355,74 @@ def reference_customer_response(scenario: Scenario, t: int, price, soc, capacity
             )
     adjusted = cooperative_adjustment(demands, baselines_now, cooperative, capacity_signal)
     return demands, adjusted, tuple(next_soc)
+
+
+# --- observation window built channel by channel, as before templates ----
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceWindow:
+    """The observation window's fields before the exogenous row existed."""
+
+    demand: np.ndarray
+    renewable: np.ndarray
+    purchase_price: np.ndarray
+    weather: tuple[WeatherSample, ...]
+    temporal: tuple[TemporalFeatures, ...]
+    t: int
+
+
+def reference_state_window(
+    traces: ScenarioTraces,
+    t: int,
+    horizon: Horizon,
+    demand_now: float,
+) -> ReferenceWindow:
+    """Assemble the p+1 observation window anchored at timestep t."""
+    p = horizon.p
+    if t < 0 or t + p >= len(traces):
+        raise TraceRangeError(
+            f"window [{t}, {t + p}] out of range for traces of length {len(traces)}"
+        )
+    demand_now = float(demand_now)
+    if not math.isfinite(demand_now):
+        raise ValueError(f"demand_now must be finite, got {demand_now!r}")
+    if demand_now < 0.0:
+        raise ValueError(f"demand_now must be >= 0, got {demand_now}")
+
+    weather = traces.weather[t : t + p + 1]
+    renewable = np.array(
+        [
+            renewable_generation(
+                w, traces.solar_capacity_kw, traces.wind_capacity_kw, horizon.timestep_minutes
+            )
+            for w in weather
+        ],
+        dtype=float,
+    )
+    purchase = np.array(traces.purchase_price[t : t + p + 1], dtype=float)
+    temporal = tuple(
+        encode_temporal((t + k) * horizon.timestep_minutes, horizon.timestep_minutes)
+        for k in range(p + 1)
+    )
+    demand = np.full(p + 1, demand_now, dtype=float)
+    return ReferenceWindow(
+        demand=demand,
+        renewable=renewable,
+        purchase_price=purchase,
+        weather=weather,
+        temporal=temporal,
+        t=t,
+    )
+
+
+def reference_window_channels(window) -> np.ndarray:
+    """Flatten the observation window channel by channel (no scaling, no bias)."""
+    temps = np.array([w.temperature_c for w in window.weather])
+    irr = np.array([w.solar_irradiance for w in window.weather])
+    wind = np.array([w.wind_speed for w in window.weather])
+    hsin = np.array([tf.hour_sin for tf in window.temporal])
+    hcos = np.array([tf.hour_cos for tf in window.temporal])
+    return np.concatenate(
+        [window.demand, window.renewable, window.purchase_price, temps, irr, wind, hsin, hcos]
+    )

@@ -222,6 +222,12 @@ class TestTdUpdate:
         td_update(params, self._transition(), 0.5, 0.9)
         assert params.weights.tolist() == before.tolist()
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_rejects_bad_lr_by_name(self, lr):
+        params = identity_params(2, 3)
+        with pytest.raises(ValueError, match="lr"):
+            td_update(params, self._transition(), lr, 0.9)
+
 
 def value_iteration(rewards, transitions, gamma, sweeps=500):
     """Independent fixed-point oracle for a deterministic finite MDP."""

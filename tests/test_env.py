@@ -1,18 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import voltmarket.env
 from voltmarket import (
     EpisodeLifecycleError,
+    FeatureScaling,
     GridEnv,
     Horizon,
+    PriceGrid,
     ResponseTable,
     Scenario,
     ScenarioValidationError,
+    TrainConfig,
     WeatherSample,
     build_state_window,
+    featurize,
     renewable_generation,
+    train_policy,
+    window_channels,
 )
 
 from .helpers import (
@@ -22,6 +30,8 @@ from .helpers import (
     oracle_best_first_deltas,
     oracle_draw,
     reference_customer_response,
+    reference_state_window,
+    reference_window_channels,
     small_scenario,
     storage_spec,
     varied_traces,
@@ -388,3 +398,140 @@ class TestResponseTable:
             got = [env.step(price).e_demand for env in shared]
             assert got == [env.step(price).e_demand for env in private]
         assert got[0] != got[1]
+
+
+class TestWindowTemplates:
+    """Windows handed out from a table's templates hold exactly the floats a
+    fresh channel-by-channel build holds."""
+
+    def minimum_length_scenario(self):
+        # Traces of exactly episode_length + p steps: the terminal window
+        # cannot start at episode_length and clamps to the last valid start.
+        scenario = TestResponseTable().congested_scenario()
+        n = scenario.episode_length + scenario.horizon.p
+        traces = replace(
+            scenario.traces,
+            weather=scenario.traces.weather[:n],
+            purchase_price=scenario.traces.purchase_price[:n],
+        )
+        return replace(scenario, traces=traces)
+
+    @staticmethod
+    def assert_matches(window, expected, scaling):
+        assert _window_fields(window) == _window_fields(expected)
+        raw = reference_window_channels(expected)
+        assert window.exogenous.tolist() == raw[window.window_length :].tolist()
+        assert window_channels(window).tolist() == raw.tolist()
+        scaled = np.append((raw - scaling.mean) / scaling.scale, 1.0)
+        assert featurize(window, scaling).tolist() == scaled.tolist()
+
+    def test_windows_match_reference_build_exactly(self):
+        scenario = self.minimum_length_scenario()
+        traces, horizon = scenario.traces, scenario.horizon
+        initial_soc = tuple(
+            spec.battery.capacity / 2.0 if spec.kind == "storage" else None
+            for spec in scenario.customers
+        )
+        rng = np.random.default_rng(8)
+        n_raw = 8 * horizon.window_length
+        scaling = FeatureScaling(mean=rng.normal(size=n_raw), scale=rng.uniform(0.5, 2.0, n_raw))
+        table = ResponseTable()
+        envs = [GridEnv(scenario, responses=table) for _ in range(2)] + [GridEnv(scenario)]
+        state = [None] * len(envs)  # per env: (t, SOCs) on the reference path
+        handed_out = []  # every window an env returned, with its reference
+        clamped = 0
+        for _ in range(300):
+            i = int(rng.integers(len(envs)))
+            env = envs[i]
+            if state[i] is None or env.done or rng.random() < 0.1:
+                window = env.reset()
+                _, demands, _ = reference_customer_response(
+                    scenario, 0, None, initial_soc, TestResponseTable.renewable(scenario, 0)
+                )
+                state[i] = (0, initial_soc)
+                expected = reference_state_window(traces, 0, horizon, float(demands.sum()))
+            else:
+                t, soc = state[i]
+                outcome = env.step(float(rng.choice(TestResponseTable.GRID_PRICES)))
+                e_renewable = TestResponseTable.renewable(scenario, t)
+                _, demands, next_soc = reference_customer_response(
+                    scenario, t, outcome.price_sold, soc, e_renewable
+                )
+                assert outcome.e_renewable == e_renewable
+                assert outcome.e_demand == float(demands.sum())
+                window = outcome.next_state
+                window_t = min(t + 1, len(traces) - horizon.p - 1)
+                clamped += window_t == t
+                expected = reference_state_window(traces, window_t, horizon, outcome.e_demand)
+                state[i] = (t + 1, next_soc)
+            self.assert_matches(window, expected, scaling)
+            handed_out.append((window, expected))
+        # No later window changed an earlier one.
+        for window, expected in handed_out:
+            self.assert_matches(window, expected, scaling)
+        assert clamped > 5
+
+    def test_exogenous_row_and_its_views_are_read_only(self):
+        env = GridEnv(small_scenario())
+        window = env.reset()
+        for channel in (window.exogenous, window.renewable, window.purchase_price):
+            with pytest.raises(ValueError):
+                channel[0] = 1.0
+        assert np.shares_memory(window.renewable, window.exogenous)
+        assert np.shares_memory(window.purchase_price, window.exogenous)
+
+    def test_mutating_a_window_demand_leaves_later_windows_intact(self):
+        scenario = small_scenario()
+        env = GridEnv(scenario)
+        first = env.reset()
+        demand = first.demand.tolist()
+        first.demand[:] = -1.0
+        assert env.reset().demand.tolist() == demand
+        stepped = env.step(0.2).next_state
+        stepped_demand = stepped.demand.tolist()
+        stepped.demand[:] = -1.0
+        env.reset()
+        assert env.step(0.2).next_state.demand.tolist() == stepped_demand
+
+
+class TestWindowLifetime:
+    """No window outlives the table that built it: every train_policy call
+    builds its windows again, and one env builds each t once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = voltmarket.env.build_state_window
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(voltmarket.env, "build_state_window", counting)
+        return calls
+
+    def test_each_train_policy_call_builds_afresh(self, builds):
+        scenario = small_scenario()
+        grid = PriceGrid.uniform(0.05, 0.45, 5)
+        config = TrainConfig(episodes=2, warmup_steps=10)
+        counts = []
+        for _ in range(2):
+            before = len(builds)
+            train_policy(scenario, grid, config, seed=3)
+            counts.append(len(builds) - before)
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
+    def test_second_episode_on_one_env_builds_nothing(self, builds):
+        scenario = small_scenario()
+        env = GridEnv(scenario)
+        for episode in range(2):
+            before = len(builds)
+            env.reset()
+            while not env.done:
+                env.step(0.2)
+            if episode == 0:
+                # Windows at t = 0 .. episode_length, the terminal one included.
+                assert len(builds) - before == scenario.episode_length + 1
+            else:
+                assert len(builds) == before

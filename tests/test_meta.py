@@ -82,6 +82,11 @@ class TestMetaTrain:
         defaults.update(overrides)
         return MetaConfig(**defaults)
 
+    @pytest.mark.parametrize("inner_lr", [float("nan"), 0.0, -0.05])
+    def test_rejects_non_positive_inner_lr(self, inner_lr):
+        with pytest.raises(ValueError, match="inner_lr"):
+            self.config(inner_lr=inner_lr)
+
     def test_zero_meta_lr_keeps_init(self):
         pool = micro_pool()
         init = make_init(pool)
