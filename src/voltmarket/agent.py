@@ -82,6 +82,8 @@ class FeatureScaling:
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
         if self.mean.shape != self.scale.shape or self.mean.ndim != 1:
             raise ValueError("mean and scale must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.scale))):
+            raise ValueError("mean and scale entries must be finite")
         if np.any(self.scale <= 0.0):
             raise ValueError("scale entries must be > 0")
 

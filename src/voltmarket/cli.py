@@ -345,6 +345,9 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default=None, help="output directory (default: config paths.output_dir)")
         cmd.add_argument("--seed", type=int, default=None, help="training seed (default: config seeds.train_seed)")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"--seed: must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
 
     try:
         config = load_config(args.config)

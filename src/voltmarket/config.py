@@ -198,6 +198,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     pl = r.section("pool")
     n_scenarios = r.value(pl, "pool", "n_scenarios", int, 8)
     pool_base_seed = r.value(pl, "pool", "base_seed", int, 101)
+    if pool_base_seed < 0:
+        violations.append(f"pool.base_seed: must be >= 0, got {pool_base_seed}")
     horizon = Horizon(max(0, p), max(1, timestep))
     pool = PoolConfig(
         n_scenarios=n_scenarios,
@@ -300,6 +302,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     train_seed = r.value(sd, "seeds", "train_seed", int, 1)
     if n_seeds < 1:
         violations.append(f"seeds.n_seeds: must be >= 1, got {n_seeds}")
+    if train_seed < 0:
+        violations.append(f"seeds.train_seed: must be >= 0, got {train_seed}")
 
     if violations:
         raise ConfigValidationError(violations)

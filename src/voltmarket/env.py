@@ -81,8 +81,6 @@ class StepOutcome:
 _StepKey = tuple[int, float | None, tuple[float | None, ...]]
 # Its value: per-customer draws after cooperative adjustment, and the next SOCs.
 _Response = tuple[np.ndarray, tuple[float | None, ...]]
-# One scenario's memos: the scenario, its responses and its template windows by t.
-_ScenarioMemo = tuple[Scenario, dict[_StepKey, _Response], dict[int, StateWindow]]
 
 
 class ResponseTable:
@@ -111,21 +109,17 @@ class ResponseTable:
     """
 
     def __init__(self) -> None:
-        self._memos: dict[int, _ScenarioMemo] = {}
+        self._memos: dict[int, tuple[Scenario, dict, dict]] = {}
 
-    def _entry(self, scenario: Scenario) -> _ScenarioMemo:
+    def memo(
+        self, scenario: Scenario
+    ) -> tuple[dict[_StepKey, _Response], dict[int, StateWindow]]:
+        """The scenario's customer responses, by (t, price, SOCs), and its
+        template windows, by t."""
         entry = self._memos.get(id(scenario))
         if entry is None:
             entry = self._memos[id(scenario)] = (scenario, {}, {})
-        return entry
-
-    def memo(self, scenario: Scenario) -> dict[_StepKey, _Response]:
-        """The scenario's customer responses, by (t, price, SOCs)."""
-        return self._entry(scenario)[1]
-
-    def windows(self, scenario: Scenario) -> dict[int, StateWindow]:
-        """The scenario's template windows, by t."""
-        return self._entry(scenario)[2]
+        return entry[1], entry[2]
 
 
 class GridEnv:
@@ -145,8 +139,7 @@ class GridEnv:
         self._done = False
         self._soc: tuple[float | None, ...] = (None,) * len(scenario.customers)
         table = responses if responses is not None else ResponseTable()
-        self._responses = table.memo(scenario)
-        self._windows = table.windows(scenario)
+        self._responses, self._windows = table.memo(scenario)
         self._cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
         self.last_customer_demands: np.ndarray | None = None
 
@@ -173,30 +166,27 @@ class GridEnv:
             for spec in scenario.customers
         )
         template = self._template(0)
-        demands = self._aggregate_demand(0, None, float(template.renewable[0]), commit=False)
-        self.last_customer_demands = demands
+        demands, _ = self._aggregate_demand(template, None)
         return with_demand(template, float(demands.sum()))
 
-    def step(self, price) -> StepOutcome:
+    def step(self, price: float) -> StepOutcome:
         """Broadcast a retail price, collect adjusted demand, advance time.
 
-        Accepts a plain price or any object with a .price attribute. The price
-        is assumed to be constraint-processed already; no clamping happens
-        here.
+        The price is assumed to be constraint-processed already; no clamping
+        happens here.
         """
         if self._t is None:
             raise EpisodeLifecycleError("call reset() before step()")
         if self._done:
             raise EpisodeLifecycleError("episode finished; call reset() to start another")
-        price_value = float(getattr(price, "price", price))
+        price_value = float(price)
         if not np.isfinite(price_value) or price_value < 0.0:
             raise ValueError(f"price must be finite and >= 0, got {price_value}")
 
         scenario = self.scenario
         t = self._t
-        e_renewable = float(self._template(t).renewable[0])
-        demands = self._aggregate_demand(t, price_value, e_renewable, commit=True)
-        self.last_customer_demands = demands
+        template = self._template(t)
+        demands, self._soc = self._aggregate_demand(template, price_value)
         e_demand = float(demands.sum())
         purchase = scenario.traces.purchase_price[t]
 
@@ -210,7 +200,7 @@ class GridEnv:
         return StepOutcome(
             next_state=next_state,
             e_demand=e_demand,
-            e_renewable=e_renewable,
+            e_renewable=float(template.renewable[0]),
             price_sold=price_value,
             purchase_price=purchase,
             done=self._done,
@@ -225,29 +215,27 @@ class GridEnv:
             self._windows[t] = template
         return template
 
-    def _aggregate_demand(
-        self, t: int, price: float | None, capacity_signal: float, commit: bool
-    ) -> np.ndarray:
-        """Per-customer grid draws at timestep t under a broadcast price.
+    def _aggregate_demand(self, template: StateWindow, price: float | None) -> _Response:
+        """Per-customer grid draws at the template's t under a broadcast
+        price, and the SOCs they leave the batteries at.
 
         price=None evaluates each customer against its own reference price
         (reset preview). Storage customers see a persistence window of the
         announced price; only the first scheduled move is executed. The
-        renewable generation at t is the cooperative customers' capacity
-        signal. The response is memoized in the env's ResponseTable under
-        (t, price, SOCs); a hit skips every customer and the cooperative
-        adjustment. commit=True moves the batteries to the response's next
-        SOCs. The caller always gets a fresh array.
+        template's renewable generation is the cooperative customers'
+        capacity signal. The response is memoized in the env's ResponseTable
+        under (t, price, SOCs); a hit skips every customer and the
+        cooperative adjustment. The draws are returned, and kept as
+        last_customer_demands, as a fresh array; the SOCs are not committed.
         """
-        key = (t, price, self._soc)
+        key = (template.t, price, self._soc)
         response = self._responses.get(key)
         if response is None:
-            response = self._respond(t, price, capacity_signal)
+            response = self._respond(template.t, price, float(template.renewable[0]))
             self._responses[key] = response
         demands, next_soc = response
-        if commit:
-            self._soc = next_soc
-        return demands.copy()
+        self.last_customer_demands = demands.copy()
+        return self.last_customer_demands, next_soc
 
     def _respond(self, t: int, price: float | None, capacity_signal: float) -> _Response:
         scenario = self.scenario

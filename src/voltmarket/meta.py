@@ -62,7 +62,7 @@ def adapt(
     k_steps: int,
     inner_lr: float,
     gamma: float,
-    epsilon_schedule: EpsilonSchedule | float,
+    epsilon: float,
     grid: PriceGrid,
     agent_seed: int = 0,
     weights: RewardWeights = RewardWeights(),
@@ -71,7 +71,7 @@ def adapt(
     *,
     responses: ResponseTable | None = None,
 ) -> PolicyParams:
-    """Run k_steps of epsilon-greedy Q-learning from init on one scenario.
+    """Run k_steps of Q-learning at a constant epsilon from init on one scenario.
 
     The input parameters are never mutated; updates build fresh values.
     on_step is forwarded to learn_on_env. responses, if given, is the
@@ -80,8 +80,6 @@ def adapt(
     """
     if k_steps < 1:
         raise ValueError(f"k_steps must be >= 1, got {k_steps}")
-    if isinstance(epsilon_schedule, (int, float)):
-        epsilon_schedule = EpsilonSchedule.constant(float(epsilon_schedule))
     env = GridEnv(scenario, responses=responses)
     rng = np.random.default_rng(agent_seed)
     adapted, _ = learn_on_env(
@@ -91,7 +89,7 @@ def adapt(
         k_steps,
         inner_lr,
         gamma,
-        epsilon_schedule,
+        EpsilonSchedule.constant(epsilon),
         rng,
         weights,
         r1_mode,

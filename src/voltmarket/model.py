@@ -136,57 +136,57 @@ def renewable_generation(
 
 @dataclass(frozen=True, eq=False)
 class StateWindow:
-    """The agent observation at timestep t: five channels of length p+1.
+    """The agent observation at timestep t: eight channels of length p+1.
 
     Index 0 of each channel is the momentary value; indices 1..p look ahead.
-    Renewable supply, purchase price, weather and temporal data are read
-    directly from the traces (perfect foresight); the demand channel carries
-    the current demand persisted forward, since future demand is unobserved.
+    The demand channel carries the current demand persisted forward, since
+    future demand is unobserved. The seven other channels are read directly
+    from the traces (perfect foresight) and depend only on the traces, the
+    horizon and t.
 
-    exogenous holds the seven non-demand channels as one raw row of
+    Three fields are stored. demand is each window's own array. exogenous
+    holds the seven non-demand channels as one read-only raw row of
     7 * (p+1) floats, in feature order: renewable, purchase price,
-    temperature, irradiance, wind, hour sin, hour cos. It is read-only, and
-    renewable and purchase_price are read-only views into it, so windows
-    that differ only in demand can share it (see with_demand). demand is
-    each window's own array.
+    temperature, irradiance, wind, hour sin, hour cos; windows that differ
+    only in demand can share it (see with_demand). renewable and
+    purchase_price are read-only views into it.
     """
 
     demand: np.ndarray
     exogenous: np.ndarray
-    renewable: np.ndarray
-    purchase_price: np.ndarray
-    weather: tuple[WeatherSample, ...]
-    temporal: tuple[TemporalFeatures, ...]
     t: int
 
     @property
     def window_length(self) -> int:
-        return len(self.renewable)
+        return len(self.demand)
+
+    @property
+    def renewable(self) -> np.ndarray:
+        return self.exogenous[: len(self.demand)]
+
+    @property
+    def purchase_price(self) -> np.ndarray:
+        n = len(self.demand)
+        return self.exogenous[n : 2 * n]
 
 
-# Demand of a window under construction; with_demand replaces it.
-_NO_DEMAND = np.empty(0)
+def _persisted_demand(demand_now: EnergyKwh, n: int) -> np.ndarray:
+    """A fresh demand channel of n entries, each the checked demand_now."""
+    demand_now = _require_finite("demand_now", demand_now)
+    if demand_now < 0.0:
+        raise ValueError(f"demand_now must be >= 0, got {demand_now}")
+    demand = np.empty(n)
+    demand.fill(demand_now)
+    return demand
 
 
 def with_demand(window: StateWindow, demand_now: EnergyKwh) -> StateWindow:
     """The same window with demand_now persisted over a fresh demand channel.
 
-    Every other field is shared with window, not copied.
+    The exogenous row is shared with window, not copied.
     """
-    demand_now = _require_finite("demand_now", demand_now)
-    if demand_now < 0.0:
-        raise ValueError(f"demand_now must be >= 0, got {demand_now}")
-    demand = np.empty(window.window_length)
-    demand.fill(demand_now)
-    return StateWindow(
-        demand=demand,
-        exogenous=window.exogenous,
-        renewable=window.renewable,
-        purchase_price=window.purchase_price,
-        weather=window.weather,
-        temporal=window.temporal,
-        t=window.t,
-    )
+    demand = _persisted_demand(demand_now, window.window_length)
+    return StateWindow(demand=demand, exogenous=window.exogenous, t=window.t)
 
 
 def build_state_window(
@@ -202,6 +202,7 @@ def build_state_window(
             f"window [{t}, {t + p}] out of range for traces of length {len(traces)}"
         )
     n = p + 1
+    demand = _persisted_demand(demand_now, n)
     step = horizon.timestep_minutes
     weather = traces.weather[t : t + n]
     temporal = tuple(encode_temporal((t + k) * step, step) for k in range(n))
@@ -217,13 +218,4 @@ def build_state_window(
     row += [tf.hour_cos for tf in temporal]
     exogenous = np.array(row, dtype=float)
     exogenous.setflags(write=False)
-    window = StateWindow(
-        demand=_NO_DEMAND,
-        exogenous=exogenous,
-        renewable=exogenous[:n],
-        purchase_price=exogenous[n : 2 * n],
-        weather=weather,
-        temporal=temporal,
-        t=t,
-    )
-    return with_demand(window, demand_now)
+    return StateWindow(demand=demand, exogenous=exogenous, t=t)

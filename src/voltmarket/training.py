@@ -285,10 +285,9 @@ def evaluate_price_sequence(
             f"need {scenario.episode_length} prices, got {len(prices)}"
         )
     log = ViolationLog()
-    it = iter(range(scenario.episode_length))
 
-    def choose(_state):
-        t = next(it)
+    def choose(state):
+        t = state.t
         clamped, violated = clamp_price(prices[t], grid)
         if violated:
             log.record(t, prices[t], clamped)

@@ -35,6 +35,20 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
     assert "agent.lr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("seeds", "train_seed"), ("pool", "base_seed")])
+def test_validate_negative_config_seed_exit_2(tmp_path, capsys, section, key):
+    path = write_config(tmp_path, minimal_config(**{section: {key: -3}}))
+    assert run_cli("validate", "--config", path) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exit_2_writes_nothing(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("train", "--config", config_path, "--out", out, "--seed", -1) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_traces_exit_2(tmp_path, capsys):
     config = minimal_config(paths={"traces": "gone.csv"})
     path = write_config(tmp_path, config)

@@ -70,6 +70,15 @@ def test_all_violations_reported(tmp_path):
     assert len(err.value.violations) >= 4
 
 
+def test_negative_seeds_are_violations(tmp_path):
+    config = minimal_config(pool={"base_seed": -2}, seeds={"train_seed": -3})
+    with pytest.raises(ConfigValidationError) as err:
+        load_config(write_config(tmp_path, config))
+    text = str(err.value)
+    assert "pool.base_seed" in text
+    assert "seeds.train_seed" in text
+
+
 def test_performance_threshold_required(tmp_path):
     config = minimal_config()
     del config["meta"]["performance_threshold"]

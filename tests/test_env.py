@@ -277,8 +277,6 @@ def _window_fields(window):
         window.demand.tolist(),
         window.renewable.tolist(),
         window.purchase_price.tolist(),
-        window.weather,
-        window.temporal,
         window.t,
     )
 
@@ -367,7 +365,7 @@ class TestResponseTable:
         # The run covered the scaling path, off-grid prices and memo hits.
         assert congested > 100
         assert off_grid > 20
-        assert len(table.memo(scenario)) < responses - 100
+        assert len(table.memo(scenario)[0]) < responses - 100
 
     def test_mutating_last_demands_leaves_the_memo_intact(self):
         scenario = self.congested_scenario()
@@ -379,12 +377,12 @@ class TestResponseTable:
         env.step(0.25)
         first = env.last_customer_demands.tolist()
         env.last_customer_demands[:] = -1.0
-        entries = len(table.memo(scenario))
+        entries = len(table.memo(scenario)[0])
         env.reset()
         assert env.last_customer_demands.tolist() == preview
         env.step(0.25)
         assert env.last_customer_demands.tolist() == first
-        assert len(table.memo(scenario)) == entries
+        assert len(table.memo(scenario)[0]) == entries
 
     def test_one_table_keeps_scenarios_apart(self):
         a = self.congested_scenario()

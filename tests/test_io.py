@@ -134,6 +134,19 @@ class TestPolicyPersistence:
         with pytest.raises(PolicyFileError):
             load_policy(path)
 
+    @pytest.mark.parametrize(
+        "field, value", [("mean", float("nan")), ("scale", float("inf")), ("mean", float("-inf"))]
+    )
+    def test_non_finite_scaling_is_corrupt(self, tmp_path, field, value):
+        # json writes and reads the NaN / Infinity literals without complaint.
+        path = tmp_path / "policy.json"
+        persist_policy(self.params(), PriceGrid.uniform(0.1, 0.4, 2), Horizon(1, 60), path)
+        doc = json.loads(path.read_text())
+        doc["scaling"][field][1] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PolicyFileError, match="finite"):
+            load_policy(path)
+
 
 class TestEpisodeCsv:
     def test_round_trip(self, tmp_path):

@@ -80,8 +80,7 @@ class TestBuildStateWindow:
         window = build_state_window(traces, 0, Horizon(0, 60), 5.0)
         for channel in (window.demand, window.renewable, window.purchase_price):
             assert len(channel) == 1
-        assert len(window.weather) == 1
-        assert len(window.temporal) == 1
+        assert len(window.exogenous) == 7
         assert window.demand[0] == 5.0
 
     def test_constant_traces_give_constant_channels(self):
@@ -132,7 +131,6 @@ class TestBuildStateWindow:
                 len(window.demand),
                 len(window.renewable),
                 len(window.purchase_price),
-                len(window.weather),
-                len(window.temporal),
             }
             assert lengths == {4}
+            assert len(window.exogenous) == 7 * 4

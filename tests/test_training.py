@@ -108,6 +108,7 @@ class TestEvaluation:
         assert summary.upper_count == 2
         assert summary.lower_count == 1
         assert [s.price for s in record.steps] == [0.2, 0.4, 0.1, 0.3, 0.4]
+        assert [entry.t for entry in log.entries] == [1, 2, 4]
 
     def test_price_sequence_requires_enough_prices(self):
         scenario = small_scenario(episode_length=5)
