@@ -143,7 +143,12 @@ def cmd_train(ctx: _Context) -> int:
 
 def cmd_evaluate(ctx: _Context) -> int:
     config, writer = ctx.config, ctx.writer
-    params, grid, _horizon = load_policy(writer.path("policy.json"))
+    policy_path = writer.path("policy.json")
+    params, grid, horizon = load_policy(policy_path)
+    if horizon != config.horizon:
+        raise PolicyFileError(
+            f"{policy_path}: policy was trained for {horizon}, config has {config.horizon}"
+        )
     train_pool = ctx.pools[0]
     summary = []
     for i, scenario in enumerate(train_pool):
@@ -257,14 +262,12 @@ def cmd_tradeoff(ctx: _Context) -> int:
 
 
 def cmd_report(ctx: _Context) -> int:
-    config, writer = ctx.config, ctx.writer
+    writer = ctx.writer
     episode_rows = []
     episodes_dir = writer.path("episodes")
     if episodes_dir.is_dir():
         for csv_path in sorted(episodes_dir.glob("*.csv")):
-            record = read_episode_csv(
-                csv_path, config.reward_weights.alpha1, config.reward_weights.alpha2
-            )
+            record = read_episode_csv(csv_path)
             if not record.steps:
                 continue
             sum_r1, sum_r2, total = objective_returns(record)

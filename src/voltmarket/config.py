@@ -1,15 +1,24 @@
 """Experiment configuration: a single JSON document covering horizon, reward,
-agent, pool, meta-training, trade-off bands, paths and seeds. Validation is
-total: every violation is reported, not just the first."""
+agent, pool, meta-training, trade-off bands, paths and seeds.
+
+Each section is read from the dataclass it fills: a key takes the type and
+default that its field declares, a field without a default is required, and
+a key that names no field is a violation. Each range rule lives on the type
+that a run constructs (``AgentSection``, ``PoolConfig``, ``MetaConfig``,
+``MetaSection``, ``RewardWeights``, ``PriceGrid.uniform`` for every price
+band), so a config that validates is one that runs. Validation is total:
+every violation is reported, not just the first."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
+from .agent import PriceGrid
 from .meta import MetaConfig
 from .model import Horizon
 from .pool import PoolConfig
@@ -22,6 +31,15 @@ class ConfigValidationError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in violations))
+
+
+def _band_problem(p_min: float, p_max: float, levels: int) -> str | None:
+    """Why PriceGrid.uniform, the grid every stage builds, rejects this band."""
+    try:
+        PriceGrid.uniform(p_min, p_max, levels)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass(frozen=True)
@@ -37,6 +55,25 @@ class AgentSection:
     warmup_steps: int = 100
     scenario_index: int = 0
 
+    def violations(self) -> list[str]:
+        problems: list[str] = []
+        if self.levels < 1:
+            problems.append(f"levels must be >= 1, got {self.levels}")
+        band = _band_problem(self.p_min, self.p_max, self.levels)
+        if band is not None:
+            problems.append(f"p_min, p_max and levels form no price grid: {band}")
+        if not self.lr > 0.0:
+            problems.append(f"lr must be > 0, got {self.lr}")
+        for name in ("gamma", "epsilon_start", "epsilon_end"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                problems.append(f"{name} must lie in [0, 1], got {value}")
+        if self.episodes <= 0:
+            problems.append(f"episodes must be > 0, got {self.episodes}")
+        if self.warmup_steps < 1:
+            problems.append(f"warmup_steps must be >= 1, got {self.warmup_steps}")
+        return problems
+
 
 @dataclass(frozen=True)
 class MetaSection:
@@ -45,6 +82,18 @@ class MetaSection:
     adapt_steps: int = 50
     curve_points: int = 0
     baseline_std: float = 0.1
+
+    def violations(self) -> list[str]:
+        problems: list[str] = []
+        if self.heldout_scenarios < 1:
+            problems.append(f"heldout_scenarios must be >= 1, got {self.heldout_scenarios}")
+        if self.adapt_steps < 1:
+            problems.append(f"adapt_steps must be >= 1, got {self.adapt_steps}")
+        if self.curve_points < 0:
+            problems.append(f"curve_points must be >= 0, got {self.curve_points}")
+        if not self.baseline_std >= 0.0:
+            problems.append(f"baseline_std must be >= 0, got {self.baseline_std}")
+        return problems
 
 
 @dataclass(frozen=True)
@@ -63,65 +112,107 @@ class ExperimentConfig:
     train_seed: int
 
 
-_KNOWN_SECTIONS = {"horizon", "reward", "agent", "pool", "meta", "tradeoff", "paths", "seeds"}
-
 _DEFAULT_BANDS = ((0.15, 0.15), (0.10, 0.25), (0.05, 0.35), (0.02, 0.45))
+
+_PAIR = tuple[float, float]
+
+
+def _pair(raw) -> tuple[float, float] | None:
+    if (
+        not isinstance(raw, (list, tuple))
+        or len(raw) != 2
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
+        or not all(math.isfinite(x) for x in raw)
+    ):
+        return None
+    return (float(raw[0]), float(raw[1]))
+
+
+def _parse(kind, raw):
+    """raw as a value of kind (int, float, str or a [lo, hi] pair), or None."""
+    if kind == _PAIR:
+        return _pair(raw)
+    if kind is str:
+        return raw if isinstance(raw, str) else None
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
+        return None
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return value if kind is int or math.isfinite(value) else None
 
 
 class _Reader:
-    """Pulls typed values out of a nested dict, accumulating violations."""
+    """Pulls typed values out of the config's sections, accumulating
+    violations. It remembers every section and key it was asked for, so that
+    any other one can be reported."""
 
     def __init__(self, data: dict, violations: list[str]):
         self.data = data
         self.violations = violations
+        self.sections: dict[str, dict] = {}
+        self.read: set[tuple[str, str]] = set()
 
     def section(self, name: str) -> dict:
-        value = self.data.get(name, {})
-        if not isinstance(value, dict):
-            self.violations.append(f"{name}: must be an object, got {type(value).__name__}")
-            return {}
-        return value
+        if name not in self.sections:
+            value = self.data.get(name, {})
+            if not isinstance(value, dict):
+                self.violations.append(f"{name}: must be an object, got {type(value).__name__}")
+                value = {}
+            self.sections[name] = value
+        return self.sections[name]
 
-    def value(self, section: dict, section_name: str, key: str, kind, default, *, required=False):
+    def raw(self, name: str, key: str, default):
+        self.read.add((name, key))
+        return self.section(name).get(key, default)
+
+    def value(self, name: str, key: str, kind, default=MISSING):
+        """The key's value as kind; default when it is absent or malformed.
+        With no default, an absent key is a violation."""
+        section = self.section(name)
+        self.read.add((name, key))
         if key not in section:
-            if required:
-                self.violations.append(f"{section_name}.{key}: required, no default exists")
+            if default is MISSING:
+                self.violations.append(f"{name}.{key}: required, no default exists")
             return default
         raw = section[key]
-        try:
-            if kind is int:
-                if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-                    raise TypeError
-                value = int(raw)
-            elif kind is float:
-                if isinstance(raw, bool):
-                    raise TypeError
-                value = float(raw)
-                if not math.isfinite(value):
-                    raise TypeError
-            elif kind is str:
-                if not isinstance(raw, str):
-                    raise TypeError
-                value = raw
-            else:
-                value = raw
-        except (TypeError, ValueError):
-            self.violations.append(
-                f"{section_name}.{key}: expected {kind.__name__}, got {raw!r}"
-            )
+        value = _parse(kind, raw)
+        if value is None:
+            expected = "[lo, hi]" if kind == _PAIR else kind.__name__
+            self.violations.append(f"{name}.{key}: expected {expected}, got {raw!r}")
             return default
         return value
 
-    def pair(self, section: dict, section_name: str, key: str, default):
-        raw = section.get(key, default)
-        if (
-            not isinstance(raw, (list, tuple))
-            or len(raw) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
-        ):
-            self.violations.append(f"{section_name}.{key}: expected [lo, hi], got {raw!r}")
-            return tuple(default)
-        return (float(raw[0]), float(raw[1]))
+    def build(self, name: str, cls, **given):
+        """An instance of dataclass cls whose fields, other than those given,
+        are read from section name with the type and default cls declares.
+        Reports what cls rejects; None when cls cannot be constructed."""
+        hints = get_type_hints(cls)
+        kwargs = dict(given)
+        for f in fields(cls):
+            if f.name not in given:
+                kwargs[f.name] = self.value(name, f.name, hints[f.name], f.default)
+        if any(v is MISSING for v in kwargs.values()):
+            return None
+        try:
+            built = cls(**kwargs)
+        except ValueError as exc:
+            self.violations.append(f"{name}: {exc}")
+            return None
+        if hasattr(built, "violations"):
+            self.violations.extend(f"{name}.{problem}" for problem in built.violations())
+        return built
+
+    def unread(self) -> None:
+        """Report every section and key that no read asked for."""
+        for name in self.data:
+            if name not in self.sections:
+                self.violations.append(f"unknown section {name!r}")
+        for name, section in self.sections.items():
+            for key in section:
+                if (name, key) not in self.read:
+                    self.violations.append(f"{name}.{key}: unknown key")
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
@@ -140,151 +231,58 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
 
 def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     violations: list[str] = []
-    for key in data:
-        if key not in _KNOWN_SECTIONS:
-            violations.append(f"unknown section {key!r}")
     r = _Reader(data, violations)
 
-    hz = r.section("horizon")
-    p = r.value(hz, "horizon", "p", int, 3)
-    timestep = r.value(hz, "horizon", "timestep_minutes", int, 60)
+    p = r.value("horizon", "p", int, 3)
+    timestep = r.value("horizon", "timestep_minutes", int, 60)
     if p < 0:
         violations.append(f"horizon.p: must be >= 0, got {p}")
     if timestep <= 0:
         violations.append(f"horizon.timestep_minutes: must be > 0, got {timestep}")
+    horizon = Horizon(max(0, p), max(1, timestep))
 
-    rw = r.section("reward")
-    alpha1 = r.value(rw, "reward", "alpha1", float, 1.0)
-    alpha2 = r.value(rw, "reward", "alpha2", float, 1.0)
-    r1_mode = r.value(rw, "reward", "r1_mode", str, "price_diff")
-    if alpha1 < 0.0:
-        violations.append(f"reward.alpha1: must be >= 0, got {alpha1}")
-    if alpha2 < 0.0:
-        violations.append(f"reward.alpha2: must be >= 0, got {alpha2}")
+    reward_weights = r.build("reward", RewardWeights)
+    r1_mode = r.value("reward", "r1_mode", str, "price_diff")
     if r1_mode not in R1_MODES:
         violations.append(f"reward.r1_mode: must be one of {list(R1_MODES)}, got {r1_mode!r}")
 
-    ag = r.section("agent")
-    agent = AgentSection(
-        levels=r.value(ag, "agent", "levels", int, 11),
-        p_min=r.value(ag, "agent", "p_min", float, 0.05),
-        p_max=r.value(ag, "agent", "p_max", float, 0.45),
-        lr=r.value(ag, "agent", "lr", float, 0.01),
-        gamma=r.value(ag, "agent", "gamma", float, 0.5),
-        epsilon_start=r.value(ag, "agent", "epsilon_start", float, 0.3),
-        epsilon_end=r.value(ag, "agent", "epsilon_end", float, 0.02),
-        episodes=r.value(ag, "agent", "episodes", int, 20),
-        warmup_steps=r.value(ag, "agent", "warmup_steps", int, 100),
-        scenario_index=r.value(ag, "agent", "scenario_index", int, 0),
-    )
-    if agent.levels < 1:
-        violations.append(f"agent.levels: must be >= 1, got {agent.levels}")
-    if agent.p_min < 0.0:
-        violations.append(f"agent.p_min: must be >= 0, got {agent.p_min}")
-    if agent.p_max < agent.p_min:
-        violations.append(f"agent.p_max: must be >= p_min, got [{agent.p_min}, {agent.p_max}]")
-    if agent.lr <= 0.0:
-        violations.append(f"agent.lr: must be > 0, got {agent.lr}")
-    if not 0.0 <= agent.gamma <= 1.0:
-        violations.append(f"agent.gamma: must lie in [0, 1], got {agent.gamma}")
-    for name, eps in (("epsilon_start", agent.epsilon_start), ("epsilon_end", agent.epsilon_end)):
-        if not 0.0 <= eps <= 1.0:
-            violations.append(f"agent.{name}: must lie in [0, 1], got {eps}")
-    if agent.episodes <= 0:
-        violations.append(f"agent.episodes: must be > 0, got {agent.episodes}")
-    if agent.warmup_steps < 1:
-        violations.append(f"agent.warmup_steps: must be >= 1, got {agent.warmup_steps}")
-
-    pl = r.section("pool")
-    n_scenarios = r.value(pl, "pool", "n_scenarios", int, 8)
-    pool_base_seed = r.value(pl, "pool", "base_seed", int, 101)
+    agent = r.build("agent", AgentSection)
+    pool = r.build("pool", PoolConfig, horizon=horizon)
+    pool_base_seed = r.value("pool", "base_seed", int, 101)
     if pool_base_seed < 0:
         violations.append(f"pool.base_seed: must be >= 0, got {pool_base_seed}")
-    horizon = Horizon(max(0, p), max(1, timestep))
-    pool = PoolConfig(
-        n_scenarios=n_scenarios,
-        customer_count=r.value(pl, "pool", "customer_count", int, 4),
-        storage_fraction=r.pair(pl, "pool", "storage_fraction", (0.25, 0.75)),
-        cooperative_fraction=r.pair(pl, "pool", "cooperative_fraction", (0.0, 1.0)),
-        elasticity=r.pair(pl, "pool", "elasticity", (-1.2, -0.4)),
-        horizon=horizon,
-        episode_length=r.value(pl, "pool", "episode_length", int, 168),
-        solar_capacity_kw=r.value(pl, "pool", "solar_capacity_kw", float, 30.0),
-        wind_capacity_kw=r.value(pl, "pool", "wind_capacity_kw", float, 12.0),
-        reference_price=r.value(pl, "pool", "reference_price", float, 0.15),
-        soc_levels=r.value(pl, "pool", "soc_levels", int, 5),
-    )
-    for problem in pool.violations():
-        violations.append(f"pool: {problem}")
-    if agent.scenario_index < 0 or agent.scenario_index >= max(1, n_scenarios):
+    if not 0 <= agent.scenario_index < max(1, pool.n_scenarios):
         violations.append(
-            f"agent.scenario_index: must index the pool [0, {n_scenarios}), "
+            f"agent.scenario_index: must index the pool [0, {pool.n_scenarios}), "
             f"got {agent.scenario_index}"
         )
 
-    mt = r.section("meta")
-    threshold = r.value(mt, "meta", "performance_threshold", float, None, required=True)
-    meta_kwargs = dict(
-        inner_steps=r.value(mt, "meta", "inner_steps", int, 200),
-        inner_lr=r.value(mt, "meta", "inner_lr", float, 0.01),
-        meta_lr=r.value(mt, "meta", "meta_lr", float, 0.5),
-        meta_iterations=r.value(mt, "meta", "meta_iterations", int, 15),
-        tasks_per_iteration=r.value(mt, "meta", "tasks_per_iteration", int, 4),
-        gamma=r.value(mt, "meta", "gamma", float, 0.5),
-        epsilon=r.value(mt, "meta", "epsilon", float, 0.1),
-    )
-    meta_section = None
-    if threshold is not None:
-        try:
-            meta_config = MetaConfig(performance_threshold=threshold, **meta_kwargs)
-        except ValueError as exc:
-            violations.append(f"meta: {exc}")
-        else:
-            if meta_config.tasks_per_iteration > n_scenarios:
-                violations.append(
-                    f"meta.tasks_per_iteration ({meta_config.tasks_per_iteration}) "
-                    f"exceeds pool.n_scenarios ({n_scenarios})"
-                )
-            meta_section = MetaSection(
-                config=meta_config,
-                heldout_scenarios=r.value(mt, "meta", "heldout_scenarios", int, 3),
-                adapt_steps=r.value(mt, "meta", "adapt_steps", int, 50),
-                curve_points=r.value(mt, "meta", "curve_points", int, 0),
-                baseline_std=r.value(mt, "meta", "baseline_std", float, 0.1),
-            )
-            if meta_section.heldout_scenarios < 1:
-                violations.append(
-                    f"meta.heldout_scenarios: must be >= 1, got {meta_section.heldout_scenarios}"
-                )
-            if meta_section.adapt_steps < 1:
-                violations.append(
-                    f"meta.adapt_steps: must be >= 1, got {meta_section.adapt_steps}"
-                )
+    meta_config = r.build("meta", MetaConfig)
+    meta = r.build("meta", MetaSection, config=meta_config)
+    if meta_config is not None and meta_config.tasks_per_iteration > pool.n_scenarios:
+        violations.append(
+            f"meta.tasks_per_iteration ({meta_config.tasks_per_iteration}) "
+            f"exceeds pool.n_scenarios ({pool.n_scenarios})"
+        )
 
-    to = r.section("tradeoff")
-    raw_bands = to.get("bands", [list(b) for b in _DEFAULT_BANDS])
+    raw_bands = r.raw("tradeoff", "bands", _DEFAULT_BANDS)
     bands: list[tuple[float, float]] = []
-    if not isinstance(raw_bands, list) or not raw_bands:
+    if not isinstance(raw_bands, (list, tuple)) or not raw_bands:
         violations.append("tradeoff.bands: expected a non-empty list of [p_min, p_max] pairs")
     else:
-        for i, band in enumerate(raw_bands):
-            if (
-                not isinstance(band, (list, tuple))
-                or len(band) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in band)
-            ):
-                violations.append(f"tradeoff.bands[{i}]: expected [p_min, p_max], got {band!r}")
+        for i, raw_band in enumerate(raw_bands):
+            band = _pair(raw_band)
+            if band is None:
+                violations.append(f"tradeoff.bands[{i}]: expected [p_min, p_max], got {raw_band!r}")
                 continue
-            lo, hi = float(band[0]), float(band[1])
-            if lo < 0.0 or hi < lo:
+            problem = _band_problem(*band, agent.levels)
+            if problem is not None:
                 violations.append(
-                    f"tradeoff.bands[{i}]: requires 0 <= p_min <= p_max, got [{lo}, {hi}]"
+                    f"tradeoff.bands[{i}] with agent.levels forms no price grid: {problem}"
                 )
-                continue
-            bands.append((lo, hi))
+            bands.append(band)
 
-    pa = r.section("paths")
-    traces_path = pa.get("traces")
+    traces_path = r.raw("paths", "traces", None)
     if traces_path is not None and not isinstance(traces_path, str):
         violations.append(f"paths.traces: expected a path or null, got {traces_path!r}")
         traces_path = None
@@ -295,27 +293,26 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         if not resolved.exists():
             violations.append(f"paths.traces: file not found: {resolved}")
         traces_path = str(resolved)
-    output_dir = r.value(pa, "paths", "output_dir", str, "out")
+    output_dir = r.value("paths", "output_dir", str, "out")
 
-    sd = r.section("seeds")
-    n_seeds = r.value(sd, "seeds", "n_seeds", int, 3)
-    train_seed = r.value(sd, "seeds", "train_seed", int, 1)
+    n_seeds = r.value("seeds", "n_seeds", int, 3)
+    train_seed = r.value("seeds", "train_seed", int, 1)
     if n_seeds < 1:
         violations.append(f"seeds.n_seeds: must be >= 1, got {n_seeds}")
     if train_seed < 0:
         violations.append(f"seeds.train_seed: must be >= 0, got {train_seed}")
 
+    r.unread()
     if violations:
         raise ConfigValidationError(violations)
-    assert meta_section is not None
     return ExperimentConfig(
         horizon=horizon,
-        reward_weights=RewardWeights(alpha1=alpha1, alpha2=alpha2),
+        reward_weights=reward_weights,
         r1_mode=r1_mode,
         agent=agent,
         pool=pool,
         pool_base_seed=pool_base_seed,
-        meta=meta_section,
+        meta=meta,
         tradeoff_bands=tuple(bands),
         traces_path=traces_path,
         output_dir=output_dir,

@@ -177,7 +177,7 @@ def _solve_capped(
     candidates: list[list[list[tuple[int, float, float, float]]]],
     start: int,
     cap: float,
-) -> tuple[float, list[tuple[int, float]]]:
+) -> tuple[float, list[tuple[int, float, float]]]:
     """Backward DP minimizing purchase cost with every grid draw <= cap.
 
     candidates[t][i] holds the moves from SOC index i at step t as
@@ -185,7 +185,8 @@ def _solve_capped(
     already clamped at zero and the moves in transition order, so the first
     of equally cheap moves is the smaller one. cap=math.inf admits every
     move. Returns (cost from the start state, per-step (next_index,
-    battery_delta) decisions). Cost is +inf when no plan respects the cap.
+    battery_delta, grid_draw) decisions). Cost is +inf when no plan respects
+    the cap.
     """
     levels = len(candidates[0])
     value_next = [0.0] * levels
@@ -212,12 +213,12 @@ def _solve_capped(
 
     if not math.isfinite(value_next[start]):
         return math.inf, []
-    plan: list[tuple[int, float]] = []
+    plan: list[tuple[int, float, float]] = []
     state = start
     for best_t in best:
         decision = best_t[state]
         assert decision is not None
-        plan.append((decision[0], decision[1]))
+        plan.append(decision[:3])
         state = decision[0]
     return value_next[start], plan
 
@@ -229,9 +230,9 @@ def _schedule(
     soc: float,
     soc_levels: int,
     peak_weight: float,
-) -> tuple[list[tuple[int, float]], tuple[float, ...]]:
-    """Cost-minimal plan from soc as per-step (next_index, battery_delta)
-    moves, and the SOC grid its indices refer to.
+) -> tuple[list[tuple[int, float, float]], tuple[float, ...]]:
+    """Cost-minimal plan from soc as per-step (next_index, battery_delta,
+    grid_draw) moves, and the SOC grid its indices refer to.
 
     The peak term breaks per-step separability. The optimal plan's peak draw
     is one of the finitely many candidate draws, so a capped DP is solved per
@@ -315,18 +316,7 @@ def dp_schedule(
     plan, _ = _schedule(
         price_window, baseline_window, battery, battery.soc, soc_levels, peak_weight
     )
-    return np.array([delta for _, delta in plan], dtype=float)
-
-
-def execute_decision(battery: Battery, baseline: float, delta: float) -> float:
-    """Grid draw implied by applying a signed SOC delta on top of a baseline load."""
-    if delta > 0.0:
-        draw = baseline + delta / battery.charge_efficiency
-    elif delta < 0.0:
-        draw = baseline + delta * battery.discharge_efficiency
-    else:
-        draw = baseline
-    return max(0.0, draw)
+    return np.array([delta for _, delta, _ in plan], dtype=float)
 
 
 def storage_demand(
@@ -349,8 +339,7 @@ def storage_demand(
     plan, grid = _schedule(
         price_window, baseline_window, battery, soc, spec.soc_levels, spec.peak_weight
     )
-    next_index, delta = plan[0]
-    draw = execute_decision(battery, baseline_window[0], delta)
+    next_index, _, draw = plan[0]
     new_soc = float(min(max(grid[next_index], 0.0), battery.capacity))
     return draw, new_soc
 

@@ -207,10 +207,8 @@ def write_episode_csv(record: EpisodeRecord, path: str | os.PathLike) -> None:
             )
 
 
-def read_episode_csv(
-    path: str | os.PathLike, alpha1: float = 1.0, alpha2: float = 1.0
-) -> EpisodeRecord:
-    record = EpisodeRecord(alpha1=alpha1, alpha2=alpha2)
+def read_episode_csv(path: str | os.PathLike) -> EpisodeRecord:
+    record = EpisodeRecord()
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:

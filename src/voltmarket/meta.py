@@ -34,20 +34,25 @@ class MetaConfig:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
+        problems = self.violations()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def violations(self) -> list[str]:
+        problems: list[str] = []
         if self.inner_steps <= 0:
-            raise ValueError(f"inner_steps must be > 0, got {self.inner_steps}")
+            problems.append(f"inner_steps must be > 0, got {self.inner_steps}")
         if not self.inner_lr > 0.0:
-            raise ValueError(f"inner_lr must be > 0, got {self.inner_lr}")
-        if not 0.0 <= self.meta_lr <= 1.0:
-            raise ValueError(f"meta_lr must lie in [0, 1], got {self.meta_lr}")
+            problems.append(f"inner_lr must be > 0, got {self.inner_lr}")
+        for name in ("meta_lr", "gamma", "epsilon"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                problems.append(f"{name} must lie in [0, 1], got {value}")
         if self.meta_iterations <= 0:
-            raise ValueError(f"meta_iterations must be > 0, got {self.meta_iterations}")
+            problems.append(f"meta_iterations must be > 0, got {self.meta_iterations}")
         if self.tasks_per_iteration <= 0:
-            raise ValueError(
-                f"tasks_per_iteration must be > 0, got {self.tasks_per_iteration}"
-            )
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            problems.append(f"tasks_per_iteration must be > 0, got {self.tasks_per_iteration}")
+        return problems
 
 
 def _adaptation_seed(base_seed: int, *streams: int) -> int:

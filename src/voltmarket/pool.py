@@ -25,13 +25,13 @@ class PoolConfig:
     everything else is shared by all scenarios.
     """
 
-    n_scenarios: int
-    customer_count: int
-    storage_fraction: tuple[float, float]
-    cooperative_fraction: tuple[float, float]
-    elasticity: tuple[float, float]
     horizon: Horizon
-    episode_length: int
+    n_scenarios: int = 8
+    customer_count: int = 4
+    storage_fraction: tuple[float, float] = (0.25, 0.75)
+    cooperative_fraction: tuple[float, float] = (0.0, 1.0)
+    elasticity: tuple[float, float] = (-1.2, -0.4)
+    episode_length: int = 168
     solar_capacity_kw: float = 30.0
     wind_capacity_kw: float = 12.0
     reference_price: float = 0.15
@@ -60,8 +60,9 @@ class PoolConfig:
                 problems.append(f"{name} range must lie within [0, 1], got [{lo}, {hi}]")
         if self.elasticity[1] > 0.0:
             problems.append(f"elasticity range must be <= 0, got {self.elasticity}")
-        if self.solar_capacity_kw < 0.0 or self.wind_capacity_kw < 0.0:
-            problems.append("generation capacities must be >= 0")
+        for name in ("solar_capacity_kw", "wind_capacity_kw"):
+            if getattr(self, name) < 0.0:
+                problems.append(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.reference_price <= 0.0:
             problems.append(f"reference_price must be > 0, got {self.reference_price}")
         if self.soc_levels < 2:

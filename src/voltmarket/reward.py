@@ -17,9 +17,13 @@ class RewardWeights:
     alpha2: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, value in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        problems = [
+            f"{name} must be finite and >= 0, got {value}"
+            for name, value in (("alpha1", self.alpha1), ("alpha2", self.alpha2))
+            if not math.isfinite(value) or value < 0.0
+        ]
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

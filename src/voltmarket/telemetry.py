@@ -77,11 +77,9 @@ class EpisodeStep:
 
 @dataclass
 class EpisodeRecord:
-    """Per-step log of one episode, tagged with the reward weights in force."""
+    """Per-step log of one episode."""
 
     steps: list[EpisodeStep] = field(default_factory=list)
-    alpha1: float = 1.0
-    alpha2: float = 1.0
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -205,7 +205,7 @@ def _rollout(
     """One full episode driven by a state -> price function; logs every step."""
     env = GridEnv(scenario, responses=responses)
     state = env.reset()
-    record = EpisodeRecord(alpha1=weights.alpha1, alpha2=weights.alpha2)
+    record = EpisodeRecord()
     for t in range(scenario.episode_length):
         price = price_for_state(state)
         outcome = env.step(price)

@@ -35,6 +35,30 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
     assert "agent.lr" in capsys.readouterr().err
 
 
+def test_validate_unknown_key_exit_2_writes_nothing(tmp_path, capsys):
+    path = write_config(tmp_path, minimal_config(agent={"episodez": 500}))
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path, "--out", out) == 2
+    assert "agent.episodez: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", [{"timestep_minutes": 30}, {"p": 2}])
+def test_evaluate_rejects_policy_of_another_horizon(tmp_path, capsys, horizon):
+    out = tmp_path / "out"
+    trained = write_config(tmp_path, minimal_config(pool={"soc_levels": 3}))
+    assert run_cli("train", "--config", trained, "--out", out) == 0
+    other = tmp_path / "other"
+    other.mkdir()
+    evaluated = write_config(other, minimal_config(pool={"soc_levels": 3}, horizon=horizon))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", evaluated, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "Horizon(p=1, timestep_minutes=60)" in err
+    assert "policy was trained for" in err
+    assert not (out / "eval_summary.json").exists()
+
+
 @pytest.mark.parametrize("section, key", [("seeds", "train_seed"), ("pool", "base_seed")])
 def test_validate_negative_config_seed_exit_2(tmp_path, capsys, section, key):
     path = write_config(tmp_path, minimal_config(**{section: {key: -3}}))

@@ -1,8 +1,20 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from voltmarket.config import ConfigValidationError, load_config
+from voltmarket.config import (
+    AgentSection,
+    ConfigValidationError,
+    MetaSection,
+    load_config,
+    parse_config,
+)
+from voltmarket.meta import MetaConfig
+from voltmarket.model import Horizon
+from voltmarket.pool import PoolConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def minimal_config(**overrides):
@@ -116,3 +128,68 @@ def test_tasks_per_iteration_bounded_by_pool(tmp_path):
     with pytest.raises(ConfigValidationError, match="tasks_per_iteration"):
         load_config(write_config(tmp_path, config))
 
+
+
+@pytest.mark.parametrize(
+    "overrides, fragments",
+    [
+        ({"agent": {"episodez": 500}}, ["agent.episodez: unknown key"]),
+        ({"horizon": {"timestep": 30}}, ["horizon.timestep: unknown key"]),
+        ({"agent": {"levels": 1}}, ["agent.p_min, p_max and levels", "k >= 2 levels, got 1"]),
+        (
+            {"agent": {"levels": 1, "p_min": 0.2, "p_max": 0.2}, "tradeoff": {"bands": [[0.1, 0.3]]}},
+            ["tradeoff.bands[0] with agent.levels", "k >= 2 levels, got 1"],
+        ),
+        ({"meta": {"gamma": 3.0}}, ["meta: gamma must lie in [0, 1]"]),
+        ({"meta": {"baseline_std": -1.0}}, ["meta.baseline_std"]),
+        ({"meta": {"curve_points": -2}}, ["meta.curve_points"]),
+        ({"meta": {"inner_steps": 0, "meta_lr": 5}}, ["inner_steps", "meta_lr"]),
+        ({"pool": {"storage_fraction": [float("nan"), 0.5]}}, ["pool.storage_fraction"]),
+        ({"agent": {"lr": 10**400}}, ["agent.lr: expected float"]),
+    ],
+    ids=[
+        "unknown-key",
+        "unknown-key-explicit-section",
+        "levels-on-agent-band",
+        "levels-on-tradeoff-band",
+        "meta-gamma",
+        "baseline-std",
+        "curve-points",
+        "all-meta-rules",
+        "non-finite-pair",
+        "float-overflow",
+    ],
+)
+def test_what_a_run_rejects_is_a_violation(overrides, fragments):
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(minimal_config(**overrides))
+    text = str(err.value)
+    for fragment in fragments:
+        assert fragment in text
+
+
+def test_empty_sections_take_the_dataclass_defaults():
+    data = minimal_config(pool={"n_scenarios": 4})
+    data["agent"] = {}
+    data["meta"] = {"performance_threshold": 1e18}
+    config = parse_config(data)
+    assert config.agent == AgentSection()
+    assert config.meta == MetaSection(config=MetaConfig(performance_threshold=1e18))
+
+
+def test_empty_pool_section_is_the_pool_config_default():
+    data = minimal_config()
+    data["pool"] = {}
+    config = parse_config(data)
+    assert config.pool == PoolConfig(horizon=Horizon(1, 60))
+
+
+def _readme_config_sketch() -> dict:
+    section = (REPO / "README.md").read_text().split("## Configuration", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_shipped_configs_load():
+    load_config(REPO / "config.example.json")
+    load_config(REPO / "perfbench" / "pipeline_config.json")
+    parse_config(_readme_config_sketch())

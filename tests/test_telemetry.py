@@ -17,7 +17,7 @@ from voltmarket import (
 
 def make_record(renewable, demand, alpha1=1.0, alpha2=1.0, price=0.2, purchase=0.1):
     weights = RewardWeights(alpha1, alpha2)
-    record = EpisodeRecord(alpha1=alpha1, alpha2=alpha2)
+    record = EpisodeRecord()
     for t, (r, d) in enumerate(zip(renewable, demand)):
         b = breakdown(price, purchase, r, d, weights)
         record.steps.append(
