@@ -5,7 +5,7 @@ temporal-difference updates on linear action values."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,14 @@ class TrainingDivergedError(RuntimeError):
 class PriceGrid:
     """Sorted discrete price levels inside the allowed band [p_min, p_max].
 
-    A degenerate band (p_min == p_max) collapses to a single level.
+    A degenerate band (p_min == p_max) collapses to a single level. signals
+    holds the unclamped PriceSignal of each level, built once.
     """
 
     levels: tuple[float, ...]
     p_min: float
     p_max: float
+    signals: tuple[PriceSignal, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(float(x) for x in self.levels))
@@ -45,6 +47,9 @@ class PriceGrid:
             raise ValueError(f"p_min {self.p_min} exceeds lowest level {self.levels[0]}")
         if not self.levels[-1] <= self.p_max:
             raise ValueError(f"highest level {self.levels[-1]} exceeds p_max {self.p_max}")
+        object.__setattr__(
+            self, "signals", tuple(PriceSignal(p, i) for i, p in enumerate(self.levels))
+        )
 
     @property
     def k(self) -> int:
@@ -171,18 +176,19 @@ def select_action(
     """Epsilon-greedy pick from the price grid; greedy ties go to the lowest index.
 
     Grid prices are inside [p_min, p_max] by construction, so the signal is
-    never clamped here. epsilon = 0 consumes no randomness.
+    the grid's own unclamped signal of the level. epsilon = 0 consumes no
+    randomness.
     """
     if grid.k != params.k:
         raise ValueError(f"grid has {grid.k} levels but params expect {params.k}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     if epsilon > 0.0:
         if rng is None:
             raise ValueError("exploration (epsilon > 0) requires an rng")
         if rng.random() < epsilon:
-            idx = int(rng.integers(grid.k))
-            return PriceSignal(price=grid.levels[idx], level_index=idx, clamped=False)
-    idx = int(q_values(params, features).argmax())
-    return PriceSignal(price=grid.levels[idx], level_index=idx, clamped=False)
+            return grid.signals[int(rng.integers(grid.k))]
+    return grid.signals[int(q_values(params, features).argmax())]
 
 
 def clamp_price(price: float, grid: PriceGrid) -> tuple[float, bool]:

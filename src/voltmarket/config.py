@@ -4,9 +4,10 @@ agent, pool, meta-training, trade-off bands, paths and seeds.
 Each section is read from the dataclass it fills: a key takes the type and
 default that its field declares, a field without a default is required, and
 a key that names no field is a violation. Each range rule lives on the type
-that a run constructs (``AgentSection``, ``PoolConfig``, ``MetaConfig``,
-``MetaSection``, ``RewardWeights``, ``PriceGrid.uniform`` for every price
-band), so a config that validates is one that runs. Validation is total:
+that a run constructs (``AgentSection``, whose learning fields follow
+``TrainConfig``'s rules, ``PoolConfig``, ``MetaConfig``, ``MetaSection``,
+``RewardWeights``, ``PriceGrid.uniform`` for every price band), so a config
+that validates is one that runs. Validation is total:
 every violation is reported, not just the first."""
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .meta import MetaConfig
 from .model import Horizon
 from .pool import PoolConfig
 from .reward import R1_MODES, RewardWeights
+from .training import learning_violations
 
 
 class ConfigValidationError(ValueError):
@@ -62,17 +64,7 @@ class AgentSection:
         band = _band_problem(self.p_min, self.p_max, self.levels)
         if band is not None:
             problems.append(f"p_min, p_max and levels form no price grid: {band}")
-        if not self.lr > 0.0:
-            problems.append(f"lr must be > 0, got {self.lr}")
-        for name in ("gamma", "epsilon_start", "epsilon_end"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                problems.append(f"{name} must lie in [0, 1], got {value}")
-        if self.episodes <= 0:
-            problems.append(f"episodes must be > 0, got {self.episodes}")
-        if self.warmup_steps < 1:
-            problems.append(f"warmup_steps must be >= 1, got {self.warmup_steps}")
-        return problems
+        return problems + learning_violations(self)
 
 
 @dataclass(frozen=True)

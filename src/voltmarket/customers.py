@@ -70,8 +70,8 @@ class CustomerSpec:
             raise ValueError("baseline_load entries must be finite and >= 0")
         if self.reference_price <= 0.0:
             raise ValueError(f"reference_price must be > 0, got {self.reference_price}")
-        if self.peak_weight < 0.0:
-            raise ValueError(f"peak_weight must be >= 0, got {self.peak_weight}")
+        if not (math.isfinite(self.peak_weight) and self.peak_weight >= 0.0):
+            raise ValueError(f"peak_weight must be finite and >= 0, got {self.peak_weight}")
         if self.kind == "storage":
             if self.battery is None:
                 raise ValueError("storage customer requires a battery")
@@ -235,19 +235,30 @@ def _schedule(
     grid_draw) moves, and the SOC grid its indices refer to.
 
     The peak term breaks per-step separability. The optimal plan's peak draw
-    is one of the finitely many candidate draws, so a capped DP is solved per
-    candidate cap in ascending order and the cheapest total is kept; the
-    strict < keeps the smallest cap on ties. Two shortcuts skip only caps
-    that cannot replace the best total:
+    is one of the finitely many candidate draws, so the plan is the capped
+    DP's plan at the candidate cap of least total cost + peak_weight*cap,
+    the smallest such cap on ties. The caps are swept downward from the
+    uncapped plan's peak, which starts as the best, and the sweep skips only
+    caps that cannot replace it:
 
-    - A cap below max_t (smallest candidate draw at step t) admits no move
-      at that step, so its cost is +inf.
     - The capped DP minimizes over a subset of the uncapped DP's moves at
       every step, and rounded addition is monotone, so by induction over the
-      steps no capped cost is below the uncapped cost base_cost. As
-      peak_weight >= 0 and caps ascend, every later total is at least
-      base_cost + peak_weight*cap, so the sweep stops at the first cap where
-      that reaches best_total.
+      steps no capped cost is below the uncapped cost base_cost, and a
+      smaller cap never costs less than a larger one.
+    - Caps at or above the peak reproduce the uncapped result. The uncapped
+      plan is feasible under them, so the capped cost is base_cost, and the
+      capped plan is the uncapped one: that plan takes the first of equally
+      cheap moves at every step, so it also takes the first of the feasible
+      ones. A larger cap can therefore only tie or lose.
+    - A cap below floor, max_t (smallest candidate draw at step t), admits
+      no move at that step, so its cost is +inf.
+    - Once a cap's cost + peak_weight*floor exceeds best_total, every
+      smaller cap's total is at least that sum, so the sweep stops. An
+      infeasible cap, of cost +inf, stops it too, even where a huge
+      peak_weight has overflowed best_total to +inf: no smaller cap is
+      feasible.
+
+    Replacing the best on <= keeps the smallest cap among equal totals.
     """
     if len(price_window) == 0:
         raise ValueError("scheduling window must contain at least one step")
@@ -255,8 +266,8 @@ def _schedule(
         raise ValueError("price and baseline windows must have equal length")
     if soc_levels < 2:
         raise ValueError(f"soc_levels must be >= 2, got {soc_levels}")
-    if not peak_weight >= 0.0:
-        raise ValueError(f"peak_weight must be >= 0, got {peak_weight}")
+    if not (math.isfinite(peak_weight) and peak_weight >= 0.0):
+        raise ValueError(f"peak_weight must be finite and >= 0, got {peak_weight}")
 
     grid, transitions, grid_deltas = _dp_structure(
         battery.capacity,
@@ -283,18 +294,20 @@ def _schedule(
 
     base_cost, plan = _solve_capped(candidates, start, math.inf)
     if peak_weight > 0.0:
+        peak = max(draw for _, _, draw in plan)
         floor = max(max(0.0, baseline + grid_deltas[0]) for baseline in baselines)
-        caps = sorted({max(0.0, baseline + d) for baseline in baselines for d in grid_deltas})
-        best_total = math.inf
-        plan = []
-        for cap in caps:
-            if cap < floor:
+        best_total = base_cost + peak_weight * peak
+        caps = {max(0.0, baseline + d) for baseline in baselines for d in grid_deltas}
+        for cap in sorted(caps, reverse=True):
+            if cap >= peak:
                 continue
-            if base_cost + peak_weight * cap >= best_total:
+            if cap < floor:
                 break
             cost, cap_plan = _solve_capped(candidates, start, cap)
+            if cost == math.inf or cost + peak_weight * floor > best_total:
+                break
             total = cost + peak_weight * cap
-            if total < best_total:
+            if total <= best_total:
                 best_total = total
                 plan = cap_plan
     return plan, grid

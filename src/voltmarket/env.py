@@ -4,6 +4,7 @@ window plus the quantities the reward is computed from."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,9 @@ class StepOutcome:
 
 # One step's key: (t, price or None for the reset preview, every customer's SOC).
 _StepKey = tuple[int, float | None, tuple[float | None, ...]]
-# Its value: per-customer draws after cooperative adjustment, and the next SOCs.
-_Response = tuple[np.ndarray, tuple[float | None, ...]]
+# Its value: per-customer draws after cooperative adjustment, their sum as a
+# float, and the next SOCs.
+_Response = tuple[np.ndarray, float, tuple[float | None, ...]]
 
 
 class ResponseTable:
@@ -99,8 +101,8 @@ class ResponseTable:
     (traces, horizon, t), and traces and horizon are fields of the scenario,
     so an env hands out with_demand(template, demand): the same floats a
     fresh build_state_window would hold, sharing the read-only exogenous row
-    and getting its own demand array. The template's renewable[0] is also
-    the step's renewable generation.
+    and getting its own demand array. The row's first entry, renewable[0],
+    is also the step's renewable generation.
 
     Memos are kept per scenario object, and the table holds each scenario it
     has seen, so nothing can be served to another scenario. The table lives
@@ -166,8 +168,8 @@ class GridEnv:
             for spec in scenario.customers
         )
         template = self._template(0)
-        demands, _ = self._aggregate_demand(template, None)
-        return with_demand(template, float(demands.sum()))
+        e_demand, _ = self._aggregate_demand(template, None)
+        return with_demand(template, e_demand)
 
     def step(self, price: float) -> StepOutcome:
         """Broadcast a retail price, collect adjusted demand, advance time.
@@ -180,14 +182,13 @@ class GridEnv:
         if self._done:
             raise EpisodeLifecycleError("episode finished; call reset() to start another")
         price_value = float(price)
-        if not np.isfinite(price_value) or price_value < 0.0:
+        if not math.isfinite(price_value) or price_value < 0.0:
             raise ValueError(f"price must be finite and >= 0, got {price_value}")
 
         scenario = self.scenario
         t = self._t
         template = self._template(t)
-        demands, self._soc = self._aggregate_demand(template, price_value)
-        e_demand = float(demands.sum())
+        e_demand, self._soc = self._aggregate_demand(template, price_value)
         purchase = scenario.traces.purchase_price[t]
 
         self._t = t + 1
@@ -200,7 +201,7 @@ class GridEnv:
         return StepOutcome(
             next_state=next_state,
             e_demand=e_demand,
-            e_renewable=float(template.renewable[0]),
+            e_renewable=float(template.exogenous[0]),
             price_sold=price_value,
             purchase_price=purchase,
             done=self._done,
@@ -215,9 +216,11 @@ class GridEnv:
             self._windows[t] = template
         return template
 
-    def _aggregate_demand(self, template: StateWindow, price: float | None) -> _Response:
-        """Per-customer grid draws at the template's t under a broadcast
-        price, and the SOCs they leave the batteries at.
+    def _aggregate_demand(
+        self, template: StateWindow, price: float | None
+    ) -> tuple[float, tuple[float | None, ...]]:
+        """Total grid draw at the template's t under a broadcast price, and
+        the SOCs it leaves the batteries at.
 
         price=None evaluates each customer against its own reference price
         (reset preview). Storage customers see a persistence window of the
@@ -225,17 +228,17 @@ class GridEnv:
         template's renewable generation is the cooperative customers'
         capacity signal. The response is memoized in the env's ResponseTable
         under (t, price, SOCs); a hit skips every customer and the
-        cooperative adjustment. The draws are returned, and kept as
-        last_customer_demands, as a fresh array; the SOCs are not committed.
+        cooperative adjustment. The per-customer draws are kept as
+        last_customer_demands, a fresh array; the SOCs are not committed.
         """
         key = (template.t, price, self._soc)
         response = self._responses.get(key)
         if response is None:
-            response = self._respond(template.t, price, float(template.renewable[0]))
+            response = self._respond(template.t, price, float(template.exogenous[0]))
             self._responses[key] = response
-        demands, next_soc = response
+        demands, total, next_soc = response
         self.last_customer_demands = demands.copy()
-        return self.last_customer_demands, next_soc
+        return total, next_soc
 
     def _respond(self, t: int, price: float | None, capacity_signal: float) -> _Response:
         scenario = self.scenario
@@ -263,7 +266,7 @@ class GridEnv:
         adjusted = cooperative_adjustment(
             demands, baselines_now, self._cooperative, capacity_signal
         )
-        return adjusted, tuple(next_soc)
+        return adjusted, float(adjusted.sum()), tuple(next_soc)
 
     def battery_soc(self, customer_index: int) -> float | None:
         """Current SOC of a storage customer (None for elastic ones)."""

@@ -4,6 +4,7 @@ evaluation with violation logging, and constraint-level policy families."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -50,6 +51,24 @@ class EpsilonSchedule:
         return cls(start=epsilon, end=epsilon, decay_steps=1)
 
 
+def learning_violations(c) -> list[str]:
+    """Range problems of the learning fields that TrainConfig shares with the
+    config's agent section: lr, gamma, epsilon_start, epsilon_end, episodes
+    and warmup_steps."""
+    problems: list[str] = []
+    if not (math.isfinite(c.lr) and c.lr > 0.0):
+        problems.append(f"lr must be finite and > 0, got {c.lr}")
+    for name in ("gamma", "epsilon_start", "epsilon_end"):
+        value = getattr(c, name)
+        if not 0.0 <= value <= 1.0:
+            problems.append(f"{name} must lie in [0, 1], got {value}")
+    if c.episodes < 1:
+        problems.append(f"episodes must be >= 1, got {c.episodes}")
+    if c.warmup_steps < 1:
+        problems.append(f"warmup_steps must be >= 1, got {c.warmup_steps}")
+    return problems
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     episodes: int = 40
@@ -60,6 +79,11 @@ class TrainConfig:
     warmup_steps: int = 100
     weights: RewardWeights = RewardWeights()
     r1_mode: str = "price_diff"
+
+    def __post_init__(self) -> None:
+        problems = learning_violations(self)
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -72,6 +96,8 @@ def collect_rollout_features(
     scenario: Scenario, grid: PriceGrid, steps: int, seed: int
 ) -> np.ndarray:
     """Raw (unscaled) feature rows from a uniform-random-price rollout."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     env = GridEnv(scenario)
     rng = np.random.default_rng(seed)
     state = env.reset()

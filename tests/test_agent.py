@@ -8,6 +8,7 @@ from voltmarket import (
     Horizon,
     PolicyParams,
     PriceGrid,
+    PriceSignal,
     Transition,
     clamp_price,
     featurize,
@@ -159,6 +160,32 @@ class TestSelectAction:
         grid = PriceGrid.uniform(0.1, 0.3, 3)
         params = identity_params(3, 0)
         assert select_action(params, np.array([1.0]), 0.0, grid).level_index == 0
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), -0.5, -1e-12, 1.5, float("inf")])
+    def test_rejects_bad_epsilon_by_name(self, epsilon):
+        grid = PriceGrid.uniform(0.1, 0.3, 3)
+        params = identity_params(3, 0)
+        with pytest.raises(ValueError, match="epsilon"):
+            select_action(params, np.array([1.0]), epsilon, grid, np.random.default_rng(0))
+
+    def test_signals_and_draw_order_match_a_fresh_pick(self):
+        # Each pick is the level's unclamped signal, and the generator moves
+        # as before: random(), then integers(k) only when exploring.
+        grid = PriceGrid.uniform(0.05, 0.45, 7)
+        weights = np.random.default_rng(1).normal(size=(7, 4))
+        params = PolicyParams(weights=weights, scaling=FeatureScaling.identity(3))
+        features_rng = np.random.default_rng(2)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        branches = set()
+        for _ in range(1000):
+            features = np.append(features_rng.normal(size=3), 1.0)
+            signal = select_action(params, features, 0.4, grid, rng)
+            explore = twin.random() < 0.4
+            branches.add(explore)
+            idx = int(twin.integers(grid.k)) if explore else int((weights @ features).argmax())
+            assert signal == PriceSignal(grid.levels[idx], idx, False)
+        assert branches == {True, False}
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestClampPrice:

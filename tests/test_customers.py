@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from voltmarket import (
     CustomerSpec,
     cooperative_adjustment,
     customer_cost,
+    customers,
     dp_schedule,
     elastic_demand,
     storage_demand,
@@ -216,6 +218,48 @@ class TestDpSchedule:
         assert customer_cost(draws, prices, 1.0) == oracle_best_cost(
             prices, baselines, battery, 3, 1.0
         )
+
+    def test_rejects_infinite_peak_weight(self):
+        with pytest.raises(ValueError, match="peak_weight"):
+            dp_schedule([1.0], [1.0], make_battery(), 3, math.inf)
+        with pytest.raises(ValueError, match="peak_weight"):
+            storage_spec((1.0,), make_battery(), peak_weight=math.inf)
+
+    def test_overflowing_peak_term_still_plans(self):
+        # 1e308 * 10 overflows every total to +inf, and the cap below the
+        # peak needs a discharge the empty battery cannot make.
+        battery = make_battery(capacity=2.0, rate=1.0, soc=0.0)
+        plan = dp_schedule([1.0, 1.0], [10.0, 10.0], battery, 3, 1e308)
+        assert len(plan) == 2
+
+    def test_caps_sweep_downward_below_the_uncapped_peak(self, monkeypatch):
+        # Every solve runs the uncapped DP first; every capped sweep after it
+        # is below that plan's peak draw, in strictly descending order.
+        solve = customers._solve_capped
+        sweeps: list[tuple[float, list]] = []
+
+        def recording(candidates, start, cap):
+            cost, plan = solve(candidates, start, cap)
+            sweeps.append((cap, plan))
+            return cost, plan
+
+        monkeypatch.setattr(customers, "_solve_capped", recording)
+        rnd = random.Random(7)
+        batteries = [_random_battery(rnd) for _ in range(16)]
+        capped = 0
+        for _ in range(500):
+            prices, baselines, battery, levels, peak_weight = _random_instance(rnd, batteries)
+            sweeps.clear()
+            dp_schedule(prices, baselines, battery, levels, peak_weight)
+            (first, plan), caps = sweeps[0], [cap for cap, _ in sweeps[1:]]
+            assert first == math.inf
+            if peak_weight == 0.0:
+                assert caps == []
+            peak = max(draw for _, _, draw in plan)
+            assert all(cap < peak for cap in caps)
+            assert all(a > b for a, b in zip(caps, caps[1:]))
+            capped += len(caps)
+        assert capped > 0
 
     def test_equals_scalar_reference_exactly(self):
         rnd = random.Random(2024)

@@ -40,7 +40,37 @@ class TestEpsilonSchedule:
             EpsilonSchedule(1.5, 0.0, 10)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("episodes", 0),
+            ("warmup_steps", 0),
+            ("lr", 0.0),
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("gamma", 1.5),
+            ("epsilon_start", -0.1),
+            ("epsilon_end", float("nan")),
+        ],
+    )
+    def test_rejects_a_bad_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_names_every_broken_field_at_once(self):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(episodes=0, lr=-1.0, gamma=2.0, epsilon_end=3.0, warmup_steps=0)
+        for name in ("episodes", "lr", "gamma", "epsilon_end", "warmup_steps"):
+            assert name in str(info.value)
+
+
 class TestWarmupScaling:
+    def test_rejects_an_empty_rollout(self):
+        grid = PriceGrid.uniform(0.05, 0.45, 5)
+        with pytest.raises(ValueError, match="steps"):
+            collect_rollout_features(small_scenario(episode_length=5), grid, 0, seed=0)
+
     def test_scaled_rollout_is_near_zero_mean(self):
         scenario = small_scenario(episode_length=20, p=1)
         grid = PriceGrid.uniform(0.05, 0.45, 5)
