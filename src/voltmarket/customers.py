@@ -29,10 +29,14 @@ class Battery:
     soc: float
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0.0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if self.max_charge_rate <= 0.0 or self.max_discharge_rate <= 0.0:
-            raise ValueError("charge/discharge rates must be > 0")
+        if not 0.0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be finite and > 0, got {self.capacity}")
+        for name, rate in (
+            ("max_charge_rate", self.max_charge_rate),
+            ("max_discharge_rate", self.max_discharge_rate),
+        ):
+            if not rate > 0.0:
+                raise ValueError(f"{name} must be > 0, got {rate}")
         for name, eta in (
             ("charge_efficiency", self.charge_efficiency),
             ("discharge_efficiency", self.discharge_efficiency),
@@ -68,8 +72,10 @@ class CustomerSpec:
         object.__setattr__(self, "baseline_load", tuple(float(x) for x in self.baseline_load))
         if any(not math.isfinite(x) or x < 0.0 for x in self.baseline_load):
             raise ValueError("baseline_load entries must be finite and >= 0")
-        if self.reference_price <= 0.0:
-            raise ValueError(f"reference_price must be > 0, got {self.reference_price}")
+        if not 0.0 < self.reference_price < math.inf:
+            raise ValueError(
+                f"reference_price must be finite and > 0, got {self.reference_price}"
+            )
         if not (math.isfinite(self.peak_weight) and self.peak_weight >= 0.0):
             raise ValueError(f"peak_weight must be finite and >= 0, got {self.peak_weight}")
         if self.kind == "storage":
@@ -82,7 +88,7 @@ class CustomerSpec:
                 raise ValueError("elastic customer must not carry a battery")
             if self.elasticity is None:
                 raise ValueError("elastic customer requires an elasticity")
-            if self.elasticity > 0.0:
+            if not self.elasticity <= 0.0:
                 raise ValueError(f"elasticity must be <= 0, got {self.elasticity}")
 
 
@@ -94,13 +100,13 @@ def elastic_demand(
     A zero price is floored at 1% of the reference price before
     exponentiation so the response stays finite.
     """
-    if baseline < 0.0:
+    if not baseline >= 0.0:
         raise ValueError(f"baseline must be >= 0, got {baseline}")
-    if reference_price <= 0.0:
-        raise ValueError(f"reference_price must be > 0, got {reference_price}")
-    if price < 0.0:
+    if not 0.0 < reference_price < math.inf:
+        raise ValueError(f"reference_price must be finite and > 0, got {reference_price}")
+    if not price >= 0.0:
         raise ValueError(f"price must be >= 0, got {price}")
-    if elasticity > 0.0:
+    if not elasticity <= 0.0:
         raise ValueError(f"elasticity must be <= 0, got {elasticity}")
     price = max(price, 0.01 * reference_price)
     demand = baseline * (price / reference_price) ** elasticity
@@ -177,7 +183,7 @@ def _solve_capped(
     candidates: list[list[list[tuple[int, float, float, float]]]],
     start: int,
     cap: float,
-) -> tuple[float, list[tuple[int, float, float]]]:
+) -> tuple[float, list[tuple[int, float, float]], float]:
     """Backward DP minimizing purchase cost with every grid draw <= cap.
 
     candidates[t][i] holds the moves from SOC index i at step t as
@@ -185,17 +191,24 @@ def _solve_capped(
     already clamped at zero and the moves in transition order, so the first
     of equally cheap moves is the smaller one. cap=math.inf admits every
     move. Returns (cost from the start state, per-step (next_index,
-    battery_delta, grid_draw) decisions). Cost is +inf when no plan respects
-    the cap.
+    battery_delta, grid_draw) decisions, least reachable peak). Cost is +inf
+    and the plan empty when no plan of finite cost respects the cap.
+
+    The least reachable peak is the smallest largest draw over every plan
+    from the start state that respects the cap, whatever its cost: per state
+    reach_t[i] = min over allowed moves of max(draw, reach_t+1[j]).
     """
     levels = len(candidates[0])
     value_next = [0.0] * levels
+    reach_next = [-math.inf] * levels
     best: list[list[tuple[int, float, float, float] | None]] = []
     for step in reversed(candidates):
         value_t = []
+        reach_t = []
         best_t = []
         for moves in step:
             least = math.inf
+            lowest = math.inf
             choice = None
             for move in moves:
                 j, _, draw, price_draw = move
@@ -205,14 +218,21 @@ def _solve_capped(
                 if cost < least:
                     least = cost
                     choice = move
+                reach = reach_next[j]
+                if draw > reach:
+                    reach = draw
+                if reach < lowest:
+                    lowest = reach
             value_t.append(least)
+            reach_t.append(lowest)
             best_t.append(choice)
         value_next = value_t
+        reach_next = reach_t
         best.append(best_t)
     best.reverse()
 
     if not math.isfinite(value_next[start]):
-        return math.inf, []
+        return math.inf, [], reach_next[start]
     plan: list[tuple[int, float, float]] = []
     state = start
     for best_t in best:
@@ -220,7 +240,7 @@ def _solve_capped(
         assert decision is not None
         plan.append(decision[:3])
         state = decision[0]
-    return value_next[start], plan
+    return value_next[start], plan, reach_next[start]
 
 
 def _schedule(
@@ -250,15 +270,22 @@ def _schedule(
       capped plan is the uncapped one: that plan takes the first of equally
       cheap moves at every step, so it also takes the first of the feasible
       ones. A larger cap can therefore only tie or lose.
-    - A cap below floor, max_t (smallest candidate draw at step t), admits
-      no move at that step, so its cost is +inf.
-    - Once a cap's cost + peak_weight*floor exceeds best_total, every
-      smaller cap's total is at least that sum, so the sweep stops. An
-      infeasible cap, of cost +inf, stops it too, even where a huge
-      peak_weight has overflowed best_total to +inf: no smaller cap is
-      feasible.
+    - The bound is exact. The uncapped DP also returns least_peak, the least
+      peak over every plan; max and min round nothing, so it is exact, and a
+      cap is feasible iff cap >= least_peak. The sweep stops at the first
+      cap below least_peak without solving it, and when least_peak is the
+      uncapped plan's own peak no cap is swept at all.
+    - Once a cap's cost + peak_weight*least_peak exceeds best_total, the
+      sweep stops: a smaller feasible cap c' costs at least cost, and
+      peak_weight*c' >= peak_weight*least_peak, so by monotone rounded
+      addition its total is at least that sum.
+    - Ties and overflow: replacing the best on <= keeps the smallest cap
+      among equal totals. Where a huge peak_weight overflows best_total to
+      +inf, the sweep visits every feasible cap below the peak, as the
+      ascending sweep did.
 
-    Replacing the best on <= keeps the smallest cap among equal totals.
+    Raises ValueError when no plan of finite cost exists, which a NaN or
+    infinite price or baseline brings about.
     """
     if len(price_window) == 0:
         raise ValueError("scheduling window must contain at least one step")
@@ -292,24 +319,29 @@ def _schedule(
             step.append(moves)
         candidates.append(step)
 
-    base_cost, plan = _solve_capped(candidates, start, math.inf)
+    base_cost, plan, least_peak = _solve_capped(candidates, start, math.inf)
+    if not plan:
+        raise ValueError(
+            f"price_window {[float(p) for p in price_window]} and baseline_window "
+            f"{baselines} admit no plan of finite cost; both must be finite"
+        )
     if peak_weight > 0.0:
         peak = max(draw for _, _, draw in plan)
-        floor = max(max(0.0, baseline + grid_deltas[0]) for baseline in baselines)
-        best_total = base_cost + peak_weight * peak
-        caps = {max(0.0, baseline + d) for baseline in baselines for d in grid_deltas}
-        for cap in sorted(caps, reverse=True):
-            if cap >= peak:
-                continue
-            if cap < floor:
-                break
-            cost, cap_plan = _solve_capped(candidates, start, cap)
-            if cost == math.inf or cost + peak_weight * floor > best_total:
-                break
-            total = cost + peak_weight * cap
-            if total <= best_total:
-                best_total = total
-                plan = cap_plan
+        if least_peak < peak:
+            best_total = base_cost + peak_weight * peak
+            caps = {max(0.0, baseline + d) for baseline in baselines for d in grid_deltas}
+            for cap in sorted(caps, reverse=True):
+                if cap >= peak:
+                    continue
+                if cap < least_peak:
+                    break
+                cost, cap_plan, _ = _solve_capped(candidates, start, cap)
+                if cost + peak_weight * least_peak > best_total:
+                    break
+                total = cost + peak_weight * cap
+                if total <= best_total:
+                    best_total = total
+                    plan = cap_plan
     return plan, grid
 
 
@@ -371,7 +403,7 @@ def cooperative_adjustment(
     subtotal toward the capacity left over by independent customers. No
     demand ever increases, and no customer is pushed below half its baseline.
     """
-    if capacity_signal < 0.0:
+    if not capacity_signal >= 0.0:
         raise ValueError(f"capacity_signal must be >= 0, got {capacity_signal}")
     d = np.asarray(demands, dtype=float)
     b = np.asarray(baselines, dtype=float)

@@ -143,7 +143,12 @@ class GridEnv:
         table = responses if responses is not None else ResponseTable()
         self._responses, self._windows = table.memo(scenario)
         self._cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
-        self.last_customer_demands: np.ndarray | None = None
+        self._last_demands: np.ndarray | None = None
+
+    @property
+    def last_customer_demands(self) -> np.ndarray | None:
+        """Per-customer draws of the last step or reset, as a fresh array."""
+        return None if self._last_demands is None else self._last_demands.copy()
 
     @property
     def t(self) -> int | None:
@@ -228,8 +233,8 @@ class GridEnv:
         template's renewable generation is the cooperative customers'
         capacity signal. The response is memoized in the env's ResponseTable
         under (t, price, SOCs); a hit skips every customer and the
-        cooperative adjustment. The per-customer draws are kept as
-        last_customer_demands, a fresh array; the SOCs are not committed.
+        cooperative adjustment. The memo's per-customer draws are kept for
+        last_customer_demands; the SOCs are not committed.
         """
         key = (template.t, price, self._soc)
         response = self._responses.get(key)
@@ -237,7 +242,7 @@ class GridEnv:
             response = self._respond(template.t, price, float(template.exogenous[0]))
             self._responses[key] = response
         demands, total, next_soc = response
-        self.last_customer_demands = demands.copy()
+        self._last_demands = demands
         return total, next_soc
 
     def _respond(self, t: int, price: float | None, capacity_signal: float) -> _Response:

@@ -21,6 +21,7 @@ from voltmarket import (
 from .helpers import (
     dyadic,
     elastic_spec,
+    enumerate_plans,
     make_battery,
     oracle_best_cost,
     oracle_best_first_deltas,
@@ -117,6 +118,20 @@ class TestElasticDemand:
         assert d_high <= d_low + 1e-12
         for d in (d_low, d_high):
             assert 0.2 * baseline - 1e-12 <= d <= 2.0 * baseline + 1e-12
+
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("baseline", (math.nan, 0.1, -0.5, 0.15)),
+            ("price", (1.0, math.nan, -0.5, 0.15)),
+            ("elasticity", (1.0, 0.1, math.nan, 0.15)),
+            ("reference_price", (1.0, 0.1, -0.5, math.nan)),
+            ("reference_price", (1.0, 0.1, -0.5, math.inf)),
+        ],
+    )
+    def test_rejects_non_finite_inputs_by_name(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            elastic_demand(*args)
 
     def test_rejects_positive_elasticity(self):
         with pytest.raises(ValueError):
@@ -234,14 +249,15 @@ class TestDpSchedule:
 
     def test_caps_sweep_downward_below_the_uncapped_peak(self, monkeypatch):
         # Every solve runs the uncapped DP first; every capped sweep after it
-        # is below that plan's peak draw, in strictly descending order.
+        # is below that plan's peak draw, in strictly descending order, and
+        # feasible: at or above the least peak any plan can reach.
         solve = customers._solve_capped
-        sweeps: list[tuple[float, list]] = []
+        sweeps: list[tuple[float, float, list, float]] = []
 
         def recording(candidates, start, cap):
-            cost, plan = solve(candidates, start, cap)
-            sweeps.append((cap, plan))
-            return cost, plan
+            cost, plan, least_peak = solve(candidates, start, cap)
+            sweeps.append((cap, cost, plan, least_peak))
+            return cost, plan, least_peak
 
         monkeypatch.setattr(customers, "_solve_capped", recording)
         rnd = random.Random(7)
@@ -251,15 +267,54 @@ class TestDpSchedule:
             prices, baselines, battery, levels, peak_weight = _random_instance(rnd, batteries)
             sweeps.clear()
             dp_schedule(prices, baselines, battery, levels, peak_weight)
-            (first, plan), caps = sweeps[0], [cap for cap, _ in sweeps[1:]]
+            (first, _, plan, least_peak), caps = sweeps[0], [s[0] for s in sweeps[1:]]
             assert first == math.inf
             if peak_weight == 0.0:
                 assert caps == []
             peak = max(draw for _, _, draw in plan)
             assert all(cap < peak for cap in caps)
             assert all(a > b for a, b in zip(caps, caps[1:]))
+            assert all(math.isfinite(cost) for _, cost, _, _ in sweeps[1:])
+            assert all(cap >= least_peak for cap in caps)
             capped += len(caps)
         assert capped > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_least_peak_is_the_least_peak_of_every_plan(self, seed, monkeypatch):
+        solve = customers._solve_capped
+        least_peaks: list[float] = []
+
+        def recording(candidates, start, cap):
+            result = solve(candidates, start, cap)
+            if cap == math.inf:
+                least_peaks.append(result[2])
+            return result
+
+        monkeypatch.setattr(customers, "_solve_capped", recording)
+        rnd = random.Random(seed)
+        batteries = [_random_battery(rnd) for _ in range(4)]
+        for _ in range(25):
+            prices, baselines, battery, levels, peak_weight = _random_instance(rnd, batteries)
+            least_peaks.clear()
+            dp_schedule(prices, baselines, battery, levels, peak_weight)
+            assert least_peaks == [
+                min(max(draws) for _, draws in enumerate_plans(prices, baselines, battery, levels))
+            ]
+
+    @pytest.mark.parametrize("peak_weight", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "prices, baselines",
+        [
+            ([math.nan, 1.0], [1.0, 1.0]),
+            ([1.0, math.inf], [1.0, 1.0]),
+            ([1.0, 1.0], [math.nan, 1.0]),
+            ([1.0, -math.inf], [1.0, 1.0]),
+        ],
+    )
+    def test_non_finite_window_fails_loudly(self, prices, baselines, peak_weight):
+        spec = storage_spec((1.0, 1.0), make_battery(), peak_weight=peak_weight)
+        with pytest.raises(ValueError, match="price_window .* baseline_window"):
+            storage_demand(spec, prices, baselines, 2.0)
 
     def test_equals_scalar_reference_exactly(self):
         rnd = random.Random(2024)
@@ -396,6 +451,10 @@ class TestCooperativeAdjustment:
         with pytest.raises(ValueError):
             cooperative_adjustment([1.0], [1.0], [True], -1.0)
 
+    def test_rejects_nan_capacity_signal(self):
+        with pytest.raises(ValueError, match="capacity_signal"):
+            cooperative_adjustment([3.0, 3.0], [2.0, 2.0], [True, False], math.nan)
+
 
 class TestSpecValidation:
     def test_storage_requires_battery(self):
@@ -421,3 +480,39 @@ class TestSpecValidation:
     def test_battery_soc_bounds(self):
         with pytest.raises(ValueError):
             Battery(4.0, 1.0, 1.0, 0.9, 0.9, soc=5.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity", math.inf),
+            ("capacity", math.nan),
+            ("max_charge_rate", math.nan),
+            ("max_charge_rate", 0.0),
+            ("max_discharge_rate", math.nan),
+            ("max_discharge_rate", -1.0),
+        ],
+    )
+    def test_battery_rejects_bad_field_by_name(self, field, value):
+        fields = dict(
+            capacity=4.0,
+            max_charge_rate=1.0,
+            max_discharge_rate=1.0,
+            charge_efficiency=0.9,
+            discharge_efficiency=0.9,
+            soc=0.0,
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            Battery(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reference_price", math.nan),
+            ("reference_price", math.inf),
+            ("elasticity", math.nan),
+        ],
+    )
+    def test_spec_rejects_non_finite_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            replace(elastic_spec((1.0,)), **{field: value})
