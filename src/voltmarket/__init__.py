@@ -78,6 +78,7 @@ from .telemetry import (
 )
 from .training import (
     EpsilonSchedule,
+    LearningConfig,
     TradeoffPoint,
     TrainConfig,
     TrainResult,

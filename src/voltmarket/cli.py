@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +28,7 @@ from .model import ScenarioTraces
 from .pool import PoolConfigError, build_scenario_pool
 from .telemetry import ViolationLog, alignment_metrics, objective_returns, summarize_violations
 from .training import (
+    LearningConfig,
     TrainConfig,
     run_greedy_episode,
     scaling_from_features,
@@ -40,17 +41,8 @@ SUBCOMMANDS = ("validate", "build-pool", "train", "meta-train", "evaluate", "tra
 
 
 def _train_config(config: ExperimentConfig) -> TrainConfig:
-    agent = config.agent
-    return TrainConfig(
-        episodes=agent.episodes,
-        lr=agent.lr,
-        gamma=agent.gamma,
-        epsilon_start=agent.epsilon_start,
-        epsilon_end=agent.epsilon_end,
-        warmup_steps=agent.warmup_steps,
-        weights=config.reward_weights,
-        r1_mode=config.r1_mode,
-    )
+    knobs = {f.name: getattr(config.agent, f.name) for f in fields(LearningConfig)}
+    return TrainConfig(**knobs, weights=config.reward_weights, r1_mode=config.r1_mode)
 
 
 def _load_traces(config: ExperimentConfig) -> ScenarioTraces | None:

@@ -4,11 +4,11 @@ agent, pool, meta-training, trade-off bands, paths and seeds.
 Each section is read from the dataclass it fills: a key takes the type and
 default that its field declares, a field without a default is required, and
 a key that names no field is a violation. Each range rule lives on the type
-that a run constructs (``AgentSection``, whose learning fields follow
-``TrainConfig``'s rules, ``PoolConfig``, ``MetaConfig``, ``MetaSection``,
-``RewardWeights``, ``PriceGrid.uniform`` for every price band), so a config
-that validates is one that runs. Validation is total:
-every violation is reported, not just the first."""
+that a run constructs (``Horizon``, ``AgentSection``, whose learning fields
+are the ``LearningConfig`` that ``TrainConfig`` extends, ``PoolConfig``,
+``MetaConfig``, ``MetaSection``, ``RewardWeights``, ``PriceGrid.uniform`` for
+every price band), so a config that validates is one that runs. Validation is
+total: every violation is reported, not just the first."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .meta import MetaConfig
 from .model import Horizon
 from .pool import PoolConfig
 from .reward import R1_MODES, RewardWeights
-from .training import learning_violations
+from .training import LearningConfig
 
 
 class ConfigValidationError(ValueError):
@@ -45,16 +45,10 @@ def _band_problem(p_min: float, p_max: float, levels: int) -> str | None:
 
 
 @dataclass(frozen=True)
-class AgentSection:
+class AgentSection(LearningConfig):
     levels: int = 11
     p_min: float = 0.05
     p_max: float = 0.45
-    lr: float = 0.01
-    gamma: float = 0.5
-    epsilon_start: float = 0.3
-    epsilon_end: float = 0.02
-    episodes: int = 20
-    warmup_steps: int = 100
     scenario_index: int = 0
 
     def violations(self) -> list[str]:
@@ -64,7 +58,7 @@ class AgentSection:
         band = _band_problem(self.p_min, self.p_max, self.levels)
         if band is not None:
             problems.append(f"p_min, p_max and levels form no price grid: {band}")
-        return problems + learning_violations(self)
+        return problems + super().violations()
 
 
 @dataclass(frozen=True)
@@ -225,13 +219,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     violations: list[str] = []
     r = _Reader(data, violations)
 
-    p = r.value("horizon", "p", int, 3)
-    timestep = r.value("horizon", "timestep_minutes", int, 60)
-    if p < 0:
-        violations.append(f"horizon.p: must be >= 0, got {p}")
-    if timestep <= 0:
-        violations.append(f"horizon.timestep_minutes: must be > 0, got {timestep}")
-    horizon = Horizon(max(0, p), max(1, timestep))
+    horizon = r.build("horizon", Horizon)
 
     reward_weights = r.build("reward", RewardWeights)
     r1_mode = r.value("reward", "r1_mode", str, "price_diff")

@@ -12,8 +12,13 @@ import numpy as np
 from .agent import PolicyParams, PriceGrid
 from .env import GridEnv, ResponseTable, Scenario
 from .reward import RewardWeights
-from .telemetry import objective_returns
-from .training import EpsilonSchedule, learn_on_env, run_greedy_episode
+from .training import (
+    EpsilonSchedule,
+    episode_return,
+    learn_on_env,
+    lr_violations,
+    run_greedy_episode,
+)
 
 STOP_META_ITERATIONS = "meta_iterations"
 STOP_PERFORMANCE_THRESHOLD = "performance_threshold"
@@ -42,8 +47,7 @@ class MetaConfig:
         problems: list[str] = []
         if self.inner_steps <= 0:
             problems.append(f"inner_steps must be > 0, got {self.inner_steps}")
-        if not self.inner_lr > 0.0:
-            problems.append(f"inner_lr must be > 0, got {self.inner_lr}")
+        problems += lr_violations("inner_lr", self.inner_lr)
         for name in ("meta_lr", "gamma", "epsilon"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -181,11 +185,11 @@ def meta_train(
         eval_return = float(
             np.mean(
                 [
-                    objective_returns(
+                    episode_return(
                         run_greedy_episode(
                             pool[i], params, grid, weights, r1_mode, responses=responses
                         )
-                    )[2]
+                    )
                     for i in task_indices
                 ]
             )
@@ -289,8 +293,9 @@ def evaluate_adaptation(
     responses = ResponseTable()
 
     def greedy_return(scenario: Scenario, params: PolicyParams) -> float:
-        record = run_greedy_episode(scenario, params, grid, weights, r1_mode, responses=responses)
-        return objective_returns(record)[2]
+        return episode_return(
+            run_greedy_episode(scenario, params, grid, weights, r1_mode, responses=responses)
+        )
 
     inits = (meta_init, baseline_init)
     for idx, scenario in enumerate(heldout):

@@ -32,14 +32,17 @@ def _require_finite(name: str, value: float) -> float:
 class Horizon:
     """Lookahead length p and timestep size; observation windows hold p+1 entries."""
 
-    p: int
-    timestep_minutes: int
+    p: int = 3
+    timestep_minutes: int = 60
 
     def __post_init__(self) -> None:
+        problems = []
         if self.p < 0:
-            raise ValueError(f"horizon p must be >= 0, got {self.p}")
+            problems.append(f"p must be >= 0, got {self.p}")
         if self.timestep_minutes <= 0:
-            raise ValueError(f"timestep_minutes must be > 0, got {self.timestep_minutes}")
+            problems.append(f"timestep_minutes must be > 0, got {self.timestep_minutes}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def window_length(self) -> int:

@@ -23,7 +23,7 @@ from .agent import (
     zeros_params,
 )
 from .env import GridEnv, ResponseTable, Scenario
-from .reward import RewardWeights, breakdown
+from .reward import R1_MODES, RewardWeights, breakdown
 from .telemetry import EpisodeRecord, EpisodeStep, ViolationLog, objective_returns
 
 
@@ -31,9 +31,9 @@ from .telemetry import EpisodeRecord, EpisodeStep, ViolationLog, objective_retur
 class EpsilonSchedule:
     """Linear anneal from start to end over decay_steps, then flat."""
 
-    start: float = 0.3
-    end: float = 0.02
-    decay_steps: int = 1
+    start: float
+    end: float
+    decay_steps: int
 
     def __post_init__(self) -> None:
         for name, value in (("start", self.start), ("end", self.end)):
@@ -51,39 +51,51 @@ class EpsilonSchedule:
         return cls(start=epsilon, end=epsilon, decay_steps=1)
 
 
-def learning_violations(c) -> list[str]:
-    """Range problems of the learning fields that TrainConfig shares with the
-    config's agent section: lr, gamma, epsilon_start, epsilon_end, episodes
-    and warmup_steps."""
-    problems: list[str] = []
-    if not (math.isfinite(c.lr) and c.lr > 0.0):
-        problems.append(f"lr must be finite and > 0, got {c.lr}")
-    for name in ("gamma", "epsilon_start", "epsilon_end"):
-        value = getattr(c, name)
-        if not 0.0 <= value <= 1.0:
-            problems.append(f"{name} must lie in [0, 1], got {value}")
-    if c.episodes < 1:
-        problems.append(f"episodes must be >= 1, got {c.episodes}")
-    if c.warmup_steps < 1:
-        problems.append(f"warmup_steps must be >= 1, got {c.warmup_steps}")
-    return problems
+def lr_violations(name: str, lr: float) -> list[str]:
+    """The learning-rate rule: finite and > 0."""
+    return [] if math.isfinite(lr) and lr > 0.0 else [f"{name} must be finite and > 0, got {lr}"]
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class LearningConfig:
+    """The learning knobs that TrainConfig shares with the config's agent
+    section. It never raises: violations() lists its range problems."""
+
     episodes: int = 40
     lr: float = 0.01
     gamma: float = 0.5
     epsilon_start: float = 0.3
     epsilon_end: float = 0.02
     warmup_steps: int = 100
+
+    def violations(self) -> list[str]:
+        problems = lr_violations("lr", self.lr)
+        for name in ("gamma", "epsilon_start", "epsilon_end"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                problems.append(f"{name} must lie in [0, 1], got {value}")
+        if self.episodes < 1:
+            problems.append(f"episodes must be >= 1, got {self.episodes}")
+        if self.warmup_steps < 1:
+            problems.append(f"warmup_steps must be >= 1, got {self.warmup_steps}")
+        return problems
+
+
+@dataclass(frozen=True)
+class TrainConfig(LearningConfig):
     weights: RewardWeights = RewardWeights()
     r1_mode: str = "price_diff"
 
     def __post_init__(self) -> None:
-        problems = learning_violations(self)
+        problems = self.violations()
         if problems:
             raise ValueError("; ".join(problems))
+
+    def violations(self) -> list[str]:
+        problems = super().violations()
+        if self.r1_mode not in R1_MODES:
+            problems.append(f"r1_mode must be one of {list(R1_MODES)}, got {self.r1_mode!r}")
+        return problems
 
 
 @dataclass
@@ -120,9 +132,7 @@ def scaling_from_features(rows: np.ndarray) -> FeatureScaling:
     return FeatureScaling(mean=mean, scale=scale)
 
 
-def warmup_scaling(
-    scenario: Scenario, grid: PriceGrid, steps: int = 100, seed: int = 0
-) -> FeatureScaling:
+def warmup_scaling(scenario: Scenario, grid: PriceGrid, steps: int, seed: int) -> FeatureScaling:
     return scaling_from_features(collect_rollout_features(scenario, grid, steps, seed))
 
 

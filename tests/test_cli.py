@@ -43,6 +43,14 @@ def test_validate_unknown_key_exit_2_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_validate_names_every_horizon_problem_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, minimal_config(horizon={"p": -1, "timestep_minutes": 0}))
+    assert run_cli("validate", "--config", path) == 2
+    err = capsys.readouterr().err
+    assert "horizon: p must be >= 0, got -1" in err
+    assert "timestep_minutes must be > 0, got 0" in err
+
+
 @pytest.mark.parametrize("horizon", [{"timestep_minutes": 30}, {"p": 2}])
 def test_evaluate_rejects_policy_of_another_horizon(tmp_path, capsys, horizon):
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from voltmarket.config import (
 from voltmarket.meta import MetaConfig
 from voltmarket.model import Horizon
 from voltmarket.pool import PoolConfig
+from voltmarket.training import LearningConfig, TrainConfig
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -175,6 +177,17 @@ def test_empty_sections_take_the_dataclass_defaults():
     config = parse_config(data)
     assert config.agent == AgentSection()
     assert config.meta == MetaSection(config=MetaConfig(performance_threshold=1e18))
+
+
+def test_agent_section_and_train_config_share_the_learning_defaults():
+    for f in fields(LearningConfig):
+        assert getattr(AgentSection(), f.name) == getattr(TrainConfig(), f.name), f.name
+
+
+def test_empty_horizon_section_is_the_horizon_default():
+    data = minimal_config()
+    data["horizon"] = {}
+    assert parse_config(data).horizon == Horizon(3, 60)
 
 
 def test_empty_pool_section_is_the_pool_config_default():

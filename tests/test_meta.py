@@ -87,6 +87,10 @@ class TestMetaTrain:
         with pytest.raises(ValueError, match="inner_lr"):
             self.config(inner_lr=inner_lr)
 
+    def test_rejects_an_infinite_inner_lr(self):
+        with pytest.raises(ValueError, match="inner_lr must be finite"):
+            self.config(inner_lr=float("inf"))
+
     def test_zero_meta_lr_keeps_init(self):
         pool = micro_pool()
         init = make_init(pool)

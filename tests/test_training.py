@@ -64,6 +64,10 @@ class TestTrainConfig:
         for name in ("episodes", "lr", "gamma", "epsilon_end", "warmup_steps"):
             assert name in str(info.value)
 
+    def test_rejects_an_unknown_r1_mode_by_name(self):
+        with pytest.raises(ValueError, match="r1_mode.*'nonsense'"):
+            TrainConfig(r1_mode="nonsense")
+
 
 class TestWarmupScaling:
     def test_rejects_an_empty_rollout(self):
