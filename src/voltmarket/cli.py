@@ -26,7 +26,13 @@ from .io import (
 from .meta import evaluate_adaptation, meta_train
 from .model import ScenarioTraces
 from .pool import PoolConfigError, build_scenario_pool
-from .telemetry import ViolationLog, alignment_metrics, objective_returns, summarize_violations
+from .telemetry import (
+    EpisodeRecord,
+    ViolationLog,
+    alignment_metrics,
+    objective_returns,
+    summarize_violations,
+)
 from .training import (
     LearningConfig,
     TrainConfig,
@@ -43,6 +49,20 @@ SUBCOMMANDS = ("validate", "build-pool", "train", "meta-train", "evaluate", "tra
 def _train_config(config: ExperimentConfig) -> TrainConfig:
     knobs = {f.name: getattr(config.agent, f.name) for f in fields(LearningConfig)}
     return TrainConfig(**knobs, weights=config.reward_weights, r1_mode=config.r1_mode)
+
+
+def _episode_summary(record: EpisodeRecord, total_key: str) -> dict:
+    """Per-objective returns and alignment metrics of one episode, the total
+    under total_key; rmse and pearson_r are None under two steps."""
+    sum_r1, sum_r2, total = objective_returns(record)
+    metrics = alignment_metrics(record) if len(record) >= 2 else None
+    return {
+        "sum_r1": sum_r1,
+        "sum_r2": sum_r2,
+        total_key: total,
+        "rmse": metrics.rmse if metrics else None,
+        "pearson_r": metrics.pearson_r if metrics else None,
+    }
 
 
 def _load_traces(config: ExperimentConfig) -> ScenarioTraces | None:
@@ -146,18 +166,8 @@ def cmd_evaluate(ctx: _Context) -> int:
     for i, scenario in enumerate(train_pool):
         record = run_greedy_episode(scenario, params, grid, config.reward_weights, config.r1_mode)
         writer.write_episode_csv(f"episodes/eval_scenario{i}.csv", record)
-        sum_r1, sum_r2, total = objective_returns(record)
-        metrics = alignment_metrics(record) if len(record) >= 2 else None
         summary.append(
-            {
-                "scenario_index": i,
-                "scenario_seed": scenario.seed,
-                "sum_r1": sum_r1,
-                "sum_r2": sum_r2,
-                "return": total,
-                "rmse": metrics.rmse if metrics else None,
-                "pearson_r": metrics.pearson_r if metrics else None,
-            }
+            {"scenario_index": i, "scenario_seed": scenario.seed, **_episode_summary(record, "return")}
         )
     log = ViolationLog()
     writer.write_json(
@@ -262,17 +272,8 @@ def cmd_report(ctx: _Context) -> int:
             record = read_episode_csv(csv_path)
             if not record.steps:
                 continue
-            sum_r1, sum_r2, total = objective_returns(record)
-            metrics = alignment_metrics(record) if len(record) >= 2 else None
             episode_rows.append(
-                {
-                    "source": f"episodes/{csv_path.name}",
-                    "sum_r1": sum_r1,
-                    "sum_r2": sum_r2,
-                    "sum_total": total,
-                    "rmse": metrics.rmse if metrics else None,
-                    "pearson_r": metrics.pearson_r if metrics else None,
-                }
+                {"source": f"episodes/{csv_path.name}", **_episode_summary(record, "sum_total")}
             )
 
     summary = {"episodes": episode_rows}

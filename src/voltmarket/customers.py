@@ -13,9 +13,10 @@ import numpy as np
 CUSTOMER_KINDS = ("storage", "elastic")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Battery:
-    """Battery state and limits. Energies in kWh, rates in kWh per timestep.
+    """Battery limits and the SOC it starts at. Energies in kWh, rates in kWh
+    per timestep.
 
     Efficiencies are one-way: charging draws charge_energy/charge_efficiency
     from the grid, discharging returns discharge_energy*discharge_efficiency.
@@ -153,13 +154,12 @@ def _dp_structure(
 ]:
     """SOC grid, per-level moves and ascending distinct grid deltas of one battery.
 
-    Memoized on the battery's values, never on the mutable Battery object, so
-    a battery changed in place is solved with its new limits. Per SOC index
-    the transitions are (next_index, battery_delta_kwh, grid_delta_kwh)
-    candidates: idle, full-rate charge, full-rate discharge, with targets
-    clipped to [0, capacity] and rounded to the SOC grid. Candidates are
-    ordered by |battery energy| so that the scheduler's tie-breaking prefers
-    the smaller move; actions that round to idle are dropped as duplicates.
+    Memoized on the battery's values. Per SOC index the transitions are
+    (next_index, battery_delta_kwh, grid_delta_kwh) candidates: idle,
+    full-rate charge, full-rate discharge, with targets clipped to
+    [0, capacity] and rounded to the SOC grid. Candidates are ordered by
+    |battery energy| so that the scheduler's tie-breaking prefers the
+    smaller move; actions that round to idle are dropped as duplicates.
     """
     grid = np.linspace(0.0, capacity, soc_levels).tolist()
     transitions = []

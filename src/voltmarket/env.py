@@ -33,7 +33,9 @@ class EpisodeLifecycleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A reproducible environment configuration."""
+    """A reproducible environment configuration: an immutable value, checked
+    once when it is built. Construction raises ScenarioValidationError with
+    every violation found."""
 
     customers: tuple[CustomerSpec, ...]
     traces: ScenarioTraces
@@ -43,6 +45,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "customers", tuple(self.customers))
+        problems = self.violations()
+        if problems:
+            raise ScenarioValidationError(problems)
 
     def violations(self) -> list[str]:
         """All validation problems, empty when the scenario is usable."""
@@ -92,9 +97,8 @@ class ResponseTable:
     Within one scenario the whole response is a function of (t, price, SOCs):
     t fixes every baseline window and the renewable generation that is the
     cooperative capacity, the price fixes every customer's price window and
-    the SOCs fix every battery DP's start. So a hit returns the same bits a
-    recompute would, on one condition: no Battery of the scenario is mutated
-    while a table that has seen it is alive.
+    the SOCs fix every battery DP's start. A scenario is immutable, so a hit
+    returns the same bits a recompute would.
 
     The table also keeps, per t, a template window: build_state_window at t
     with zero demand. Every field of a window except demand depends only on
@@ -133,9 +137,6 @@ class GridEnv:
     """
 
     def __init__(self, scenario: Scenario, *, responses: ResponseTable | None = None):
-        problems = scenario.violations()
-        if problems:
-            raise ScenarioValidationError(problems)
         self.scenario = scenario
         self._t: int | None = None
         self._done = False
@@ -159,7 +160,7 @@ class GridEnv:
         return self._done
 
     def reset(self) -> StateWindow:
-        """Start a fresh episode: t = 0, batteries at 50% charge.
+        """Start a fresh episode: t = 0, each battery at its own soc.
 
         The momentary demand in the first observation is a preview of the
         customers' response to their own reference prices; it does not move
@@ -169,7 +170,7 @@ class GridEnv:
         self._t = 0
         self._done = False
         self._soc = tuple(
-            spec.battery.capacity / 2.0 if spec.kind == "storage" else None
+            spec.battery.soc if spec.kind == "storage" else None
             for spec in scenario.customers
         )
         template = self._template(0)

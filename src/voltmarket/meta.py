@@ -18,6 +18,7 @@ from .training import (
     learn_on_env,
     lr_violations,
     run_greedy_episode,
+    unit_interval_violations,
 )
 
 STOP_META_ITERATIONS = "meta_iterations"
@@ -49,9 +50,7 @@ class MetaConfig:
             problems.append(f"inner_steps must be > 0, got {self.inner_steps}")
         problems += lr_violations("inner_lr", self.inner_lr)
         for name in ("meta_lr", "gamma", "epsilon"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                problems.append(f"{name} must lie in [0, 1], got {value}")
+            problems += unit_interval_violations(name, getattr(self, name))
         if self.meta_iterations <= 0:
             problems.append(f"meta_iterations must be > 0, got {self.meta_iterations}")
         if self.tasks_per_iteration <= 0:
@@ -297,53 +296,50 @@ def evaluate_adaptation(
             run_greedy_episode(scenario, params, grid, weights, r1_mode, responses=responses)
         )
 
-    inits = (meta_init, baseline_init)
-    for idx, scenario in enumerate(heldout):
-        meta_returns = []
-        baseline_returns = []
-        curve_sums = [np.zeros(len(checkpoints)) for _ in inits]
-        init_returns = [
-            greedy_return(scenario, init) if checkpoints else None for init in inits
-        ]
+    def adapted_returns(init: PolicyParams, scenario: Scenario) -> tuple[list[float], list[float]]:
+        """The greedy return after k_steps of adaptation from init, per seed,
+        and the seed-mean greedy return at each checkpoint."""
+        curve = np.zeros(len(checkpoints))
+        init_return = greedy_return(scenario, init) if checkpoints else None
+        finals = []
         for s in range(n_seeds):
-            agent_seed = _adaptation_seed(scenario.seed, s)
-            pair = []
-            for which, init in enumerate(inits):
-                snapshots: dict[int, PolicyParams] = {}
+            snapshots: dict[int, PolicyParams] = {}
 
-                def keep(steps_done: int, params: PolicyParams) -> None:
-                    if steps_done in inner_checkpoints:
-                        snapshots[steps_done] = params
+            def keep(steps_done: int, params: PolicyParams) -> None:
+                if steps_done in inner_checkpoints:
+                    snapshots[steps_done] = params
 
-                adapted = adapt(
-                    init,
-                    scenario,
-                    k_steps,
-                    inner_lr,
-                    gamma,
-                    epsilon,
-                    grid,
-                    agent_seed=agent_seed,
-                    weights=weights,
-                    r1_mode=r1_mode,
-                    on_step=keep,
-                    responses=responses,
-                )
-                pair.append(greedy_return(scenario, adapted))
-                returns = {0: init_returns[which], k_steps: pair[-1]}
-                for checkpoint, params in snapshots.items():
-                    returns[checkpoint] = greedy_return(scenario, params)
-                for ci, checkpoint in enumerate(checkpoints):
-                    curve_sums[which][ci] += returns[checkpoint] / n_seeds
-            meta_returns.append(pair[0])
-            baseline_returns.append(pair[1])
+            adapted = adapt(
+                init,
+                scenario,
+                k_steps,
+                inner_lr,
+                gamma,
+                epsilon,
+                grid,
+                agent_seed=_adaptation_seed(scenario.seed, s),
+                weights=weights,
+                r1_mode=r1_mode,
+                on_step=keep,
+                responses=responses,
+            )
+            finals.append(greedy_return(scenario, adapted))
+            returns = {0: init_return, k_steps: finals[-1]}
+            returns.update((c, greedy_return(scenario, p)) for c, p in snapshots.items())
+            curve += [returns[c] / n_seeds for c in checkpoints]
+        return finals, curve.tolist()
+
+    for idx, scenario in enumerate(heldout):
+        meta_returns, meta_curve = adapted_returns(meta_init, scenario)
+        baseline_returns, baseline_curve = adapted_returns(baseline_init, scenario)
+        for s, (meta_return, baseline_return) in enumerate(zip(meta_returns, baseline_returns)):
             entries.append(
                 SampleEfficiencyEntry(
                     scenario_index=idx,
                     scenario_seed=scenario.seed,
                     seed=s,
-                    meta_return=pair[0],
-                    baseline_return=pair[1],
+                    meta_return=meta_return,
+                    baseline_return=baseline_return,
                 )
             )
         per_scenario_meta.append(float(np.mean(meta_returns)))
@@ -353,8 +349,8 @@ def evaluate_adaptation(
                 AdaptationCurve(
                     scenario_seed=scenario.seed,
                     steps=list(checkpoints),
-                    meta_returns=curve_sums[0].tolist(),
-                    baseline_returns=curve_sums[1].tolist(),
+                    meta_returns=meta_curve,
+                    baseline_returns=baseline_curve,
                 )
             )
 

@@ -36,11 +36,12 @@ class EpsilonSchedule:
     decay_steps: int
 
     def __post_init__(self) -> None:
-        for name, value in (("start", self.start), ("end", self.end)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"epsilon {name} must lie in [0, 1], got {value}")
+        problems = unit_interval_violations("epsilon start", self.start)
+        problems += unit_interval_violations("epsilon end", self.end)
         if self.decay_steps < 1:
-            raise ValueError(f"decay_steps must be >= 1, got {self.decay_steps}")
+            problems.append(f"decay_steps must be >= 1, got {self.decay_steps}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def value(self, step: int) -> float:
         frac = min(1.0, max(0.0, step / self.decay_steps))
@@ -54,6 +55,11 @@ class EpsilonSchedule:
 def lr_violations(name: str, lr: float) -> list[str]:
     """The learning-rate rule: finite and > 0."""
     return [] if math.isfinite(lr) and lr > 0.0 else [f"{name} must be finite and > 0, got {lr}"]
+
+
+def unit_interval_violations(name: str, value: float) -> list[str]:
+    """The rule for a discount, an exploration rate or a step fraction: in [0, 1]."""
+    return [] if 0.0 <= value <= 1.0 else [f"{name} must lie in [0, 1], got {value}"]
 
 
 @dataclass(frozen=True)
@@ -71,9 +77,7 @@ class LearningConfig:
     def violations(self) -> list[str]:
         problems = lr_violations("lr", self.lr)
         for name in ("gamma", "epsilon_start", "epsilon_end"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                problems.append(f"{name} must lie in [0, 1], got {value}")
+            problems += unit_interval_violations(name, getattr(self, name))
         if self.episodes < 1:
             problems.append(f"episodes must be >= 1, got {self.episodes}")
         if self.warmup_steps < 1:
@@ -189,24 +193,15 @@ def learn_on_env(
 
 
 def train_policy(
-    scenario: Scenario,
-    grid: PriceGrid,
-    config: TrainConfig,
-    seed: int,
-    scaling: FeatureScaling | None = None,
-    init: PolicyParams | None = None,
+    scenario: Scenario, grid: PriceGrid, config: TrainConfig, seed: int
 ) -> TrainResult:
     """Train a policy on one scenario for config.episodes episodes.
 
     Exploration anneals linearly over the first 70% of all steps. The feature
-    scaling comes from a warm-up rollout unless one is supplied (or implied
-    by an explicit initial policy).
+    scaling comes from a warm-up rollout.
     """
-    if init is not None:
-        scaling = init.scaling
-    elif scaling is None:
-        scaling = warmup_scaling(scenario, grid, config.warmup_steps, seed)
-    params = init if init is not None else zeros_params(grid.k, scaling)
+    scaling = warmup_scaling(scenario, grid, config.warmup_steps, seed)
+    params = zeros_params(grid.k, scaling)
 
     total_steps = config.episodes * scenario.episode_length
     epsilon = EpsilonSchedule(

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -375,21 +375,18 @@ class TestStorageDemand:
         with pytest.raises(ValueError):
             storage_demand(elastic_spec((1.0,)), [0.1], [1.0], 0.0)
 
-    def test_follows_battery_changed_in_place(self):
-        # The per-battery DP structure is memoized; Battery is mutable, so a
-        # solve after a change in place must see the new limits.
+    def test_solves_each_battery_with_its_own_limits(self):
+        # The per-battery DP structure is memoized on the battery's values,
+        # so two batteries that differ in one limit get their own plans.
         def battery(charge_rate: float) -> Battery:
             return Battery(4.0, charge_rate, 4.0, 1.0, 1.0, soc=0.0)
 
         prices, baselines = [0.1, 5.0], [1.0, 3.0]
-        spec = storage_spec((1.0, 3.0), battery(1.0), soc_levels=5)
-        assert storage_demand(spec, prices, baselines, 0.0) == (2.0, 1.0)
-
-        spec.battery.max_charge_rate = 2.0
-        fresh = storage_spec((1.0, 3.0), battery(2.0), soc_levels=5)
-        assert storage_demand(spec, prices, baselines, 0.0) == (
-            storage_demand(fresh, prices, baselines, 0.0)
-        ) == (3.0, 2.0)
+        slow = storage_spec((1.0, 3.0), battery(1.0), soc_levels=5)
+        fast = storage_spec((1.0, 3.0), battery(2.0), soc_levels=5)
+        assert storage_demand(slow, prices, baselines, 0.0) == (2.0, 1.0)
+        assert storage_demand(fast, prices, baselines, 0.0) == (3.0, 2.0)
+        assert storage_demand(slow, prices, baselines, 0.0) == (2.0, 1.0)
 
     def test_rejects_soc_outside_battery(self):
         spec = storage_spec((1.0,), make_battery(capacity=4.0), soc_levels=5)
@@ -480,6 +477,12 @@ class TestSpecValidation:
     def test_battery_soc_bounds(self):
         with pytest.raises(ValueError):
             Battery(4.0, 1.0, 1.0, 0.9, 0.9, soc=5.0)
+
+    def test_battery_is_frozen(self):
+        battery = make_battery()
+        for field in fields(Battery):
+            with pytest.raises(FrozenInstanceError):
+                setattr(battery, field.name, 1.0)
 
     @pytest.mark.parametrize(
         "field, value",

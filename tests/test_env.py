@@ -19,6 +19,7 @@ from voltmarket import (
     build_state_window,
     featurize,
     renewable_generation,
+    storage_demand,
     train_policy,
     window_channels,
 )
@@ -61,28 +62,26 @@ class TestRenewableGeneration:
 
 class TestScenarioValidation:
     def test_collects_all_violations(self):
-        scenario = Scenario(
-            customers=(),
-            traces=constant_traces(3),
-            horizon=Horizon(2, 60),
-            episode_length=10,
-            seed=1,
-        )
-        problems = scenario.violations()
-        assert len(problems) == 2  # no customers + short traces
         with pytest.raises(ScenarioValidationError) as err:
-            GridEnv(scenario)
-        assert len(err.value.violations) == 2
+            Scenario(
+                customers=(),
+                traces=constant_traces(3),
+                horizon=Horizon(2, 60),
+                episode_length=10,
+                seed=1,
+            )
+        assert len(err.value.violations) == 2  # no customers + short traces
 
     def test_short_customer_baseline_flagged(self):
-        scenario = Scenario(
-            customers=(elastic_spec((1.0, 2.0)),),
-            traces=constant_traces(12),
-            horizon=Horizon(1, 60),
-            episode_length=8,
-            seed=1,
-        )
-        assert any("baseline_load" in p for p in scenario.violations())
+        with pytest.raises(ScenarioValidationError) as err:
+            Scenario(
+                customers=(elastic_spec((1.0, 2.0)),),
+                traces=constant_traces(12),
+                horizon=Horizon(1, 60),
+                episode_length=8,
+                seed=1,
+            )
+        assert any("baseline_load" in p for p in err.value.violations)
 
 
 class TestReset:
@@ -114,6 +113,24 @@ class TestReset:
         env.reset()
         battery = scenario.customers[0].battery
         assert env.battery_soc(0) == battery.capacity / 2.0
+
+    def test_starts_each_battery_at_its_own_soc(self):
+        baseline = (2.0, 3.0, 1.0, 4.0, 2.0, 3.0)
+        battery = make_battery(capacity=4.0, rate=2.0, soc=0.0)
+        spec = storage_spec(baseline, battery, soc_levels=5)
+        scenario = Scenario(
+            customers=(spec,),
+            traces=constant_traces(6),
+            horizon=Horizon(1, 60),
+            episode_length=4,
+            seed=5,
+        )
+        env = GridEnv(scenario)
+        env.reset()
+        assert env.battery_soc(0) == 0.0
+        draw, soc = storage_demand(spec, (0.2, 0.2), baseline[:2], 0.0)
+        assert env.step(0.2).e_demand == draw
+        assert env.battery_soc(0) == soc
 
 
 class TestStep:
