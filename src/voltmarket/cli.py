@@ -43,7 +43,15 @@ from .training import (
     train_policy,
 )
 
-SUBCOMMANDS = ("validate", "build-pool", "train", "meta-train", "evaluate", "tradeoff", "report", "run")
+# The pipeline's stages in dependency order; stage s runs cmd_s, with dashes
+# as underscores. Handlers are looked up by name when called, so that a
+# wrapper bound over a module-level cmd_* name is the one that runs.
+_STAGES = ("validate", "build-pool", "train", "meta-train", "evaluate", "tradeoff", "report")
+SUBCOMMANDS = _STAGES + ("run",)
+
+
+def _handler(name: str):
+    return globals()["cmd_" + name.replace("-", "_")]
 
 
 def _train_config(config: ExperimentConfig) -> TrainConfig:
@@ -302,31 +310,11 @@ def cmd_report(ctx: _Context) -> int:
 
 def cmd_run(ctx: _Context) -> int:
     """The full pipeline in dependency order, on one context."""
-    for step in (
-        cmd_validate,
-        cmd_build_pool,
-        cmd_train,
-        cmd_meta_train,
-        cmd_evaluate,
-        cmd_tradeoff,
-        cmd_report,
-    ):
-        status = step(ctx)
+    for stage in _STAGES:
+        status = _handler(stage)(ctx)
         if status != 0:
             return status
     return 0
-
-
-_HANDLERS = {
-    "validate": cmd_validate,
-    "build-pool": cmd_build_pool,
-    "train": cmd_train,
-    "meta-train": cmd_meta_train,
-    "evaluate": cmd_evaluate,
-    "tradeoff": cmd_tradeoff,
-    "report": cmd_report,
-    "run": cmd_run,
-}
 
 
 def main(argv=None) -> int:
@@ -355,7 +343,7 @@ def main(argv=None) -> int:
     ctx = _Context(config, seed, ArtifactWriter(out_dir))
 
     try:
-        return _HANDLERS[args.command](ctx)
+        return _handler(args.command)(ctx)
     except (TraceFormatError, PoolConfigError, ScenarioValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

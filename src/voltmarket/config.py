@@ -23,7 +23,7 @@ from .agent import PriceGrid
 from .meta import MetaConfig
 from .model import Horizon
 from .pool import PoolConfig
-from .reward import R1_MODES, RewardWeights
+from .reward import RewardWeights, r1_mode_violations
 from .training import LearningConfig
 
 
@@ -223,8 +223,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     reward_weights = r.build("reward", RewardWeights)
     r1_mode = r.value("reward", "r1_mode", str, "price_diff")
-    if r1_mode not in R1_MODES:
-        violations.append(f"reward.r1_mode: must be one of {list(R1_MODES)}, got {r1_mode!r}")
+    violations.extend(f"reward.{problem}" for problem in r1_mode_violations(r1_mode))
 
     agent = r.build("agent", AgentSection)
     pool = r.build("pool", PoolConfig, horizon=horizon)

@@ -30,22 +30,25 @@ class Battery:
     soc: float
 
     def __post_init__(self) -> None:
+        problems = []
         if not 0.0 < self.capacity < math.inf:
-            raise ValueError(f"capacity must be finite and > 0, got {self.capacity}")
+            problems.append(f"capacity must be finite and > 0, got {self.capacity}")
         for name, rate in (
             ("max_charge_rate", self.max_charge_rate),
             ("max_discharge_rate", self.max_discharge_rate),
         ):
             if not rate > 0.0:
-                raise ValueError(f"{name} must be > 0, got {rate}")
+                problems.append(f"{name} must be > 0, got {rate}")
         for name, eta in (
             ("charge_efficiency", self.charge_efficiency),
             ("discharge_efficiency", self.discharge_efficiency),
         ):
             if not 0.0 < eta <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {eta}")
+                problems.append(f"{name} must lie in (0, 1], got {eta}")
         if not 0.0 <= self.soc <= self.capacity:
-            raise ValueError(f"soc must lie in [0, {self.capacity}], got {self.soc}")
+            problems.append(f"soc must lie in [0, {self.capacity}], got {self.soc}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -68,29 +71,30 @@ class CustomerSpec:
     soc_levels: int = 5
 
     def __post_init__(self) -> None:
+        problems = []
         if self.kind not in CUSTOMER_KINDS:
-            raise ValueError(f"kind must be one of {CUSTOMER_KINDS}, got {self.kind!r}")
+            problems.append(f"kind must be one of {CUSTOMER_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "baseline_load", tuple(float(x) for x in self.baseline_load))
         if any(not math.isfinite(x) or x < 0.0 for x in self.baseline_load):
-            raise ValueError("baseline_load entries must be finite and >= 0")
+            problems.append("baseline_load entries must be finite and >= 0")
         if not 0.0 < self.reference_price < math.inf:
-            raise ValueError(
-                f"reference_price must be finite and > 0, got {self.reference_price}"
-            )
+            problems.append(f"reference_price must be finite and > 0, got {self.reference_price}")
         if not (math.isfinite(self.peak_weight) and self.peak_weight >= 0.0):
-            raise ValueError(f"peak_weight must be finite and >= 0, got {self.peak_weight}")
+            problems.append(f"peak_weight must be finite and >= 0, got {self.peak_weight}")
         if self.kind == "storage":
             if self.battery is None:
-                raise ValueError("storage customer requires a battery")
+                problems.append("storage customer requires a battery")
             if self.soc_levels < 2:
-                raise ValueError(f"soc_levels must be >= 2, got {self.soc_levels}")
-        else:
+                problems.append(f"soc_levels must be >= 2, got {self.soc_levels}")
+        elif self.kind == "elastic":
             if self.battery is not None:
-                raise ValueError("elastic customer must not carry a battery")
+                problems.append("elastic customer must not carry a battery")
             if self.elasticity is None:
-                raise ValueError("elastic customer requires an elasticity")
-            if not self.elasticity <= 0.0:
-                raise ValueError(f"elasticity must be <= 0, got {self.elasticity}")
+                problems.append("elastic customer requires an elasticity")
+            elif not self.elasticity <= 0.0:
+                problems.append(f"elasticity must be <= 0, got {self.elasticity}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def elastic_demand(

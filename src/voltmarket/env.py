@@ -45,12 +45,11 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "customers", tuple(self.customers))
-        problems = self.violations()
+        problems = self._violations()
         if problems:
             raise ScenarioValidationError(problems)
 
-    def violations(self) -> list[str]:
-        """All validation problems, empty when the scenario is usable."""
+    def _violations(self) -> list[str]:
         problems: list[str] = []
         if not self.customers:
             problems.append("scenario requires at least one customer")
@@ -85,14 +84,17 @@ class StepOutcome:
 
 # One step's key: (t, price or None for the reset preview, every customer's SOC).
 _StepKey = tuple[int, float | None, tuple[float | None, ...]]
-# Its value: per-customer draws after cooperative adjustment, their sum as a
-# float, and the next SOCs.
+# Its value: per-customer draws after cooperative adjustment (read-only), their
+# sum as a float, and the next SOCs.
 _Response = tuple[np.ndarray, float, tuple[float | None, ...]]
+# A scenario's entry: the scenario (held so its id is not reused), its
+# cooperative mask, its responses by key and its template windows by t.
+_Entry = tuple[Scenario, np.ndarray, dict[_StepKey, _Response], dict[int, StateWindow]]
 
 
 class ResponseTable:
-    """Customer responses and observation windows of env steps, memoized for
-    the envs given this table.
+    """The customers' response to a price, and the observation windows, of
+    env steps, memoized for the envs and callers given this table.
 
     Within one scenario the whole response is a function of (t, price, SOCs):
     t fixes every baseline window and the renewable generation that is the
@@ -108,28 +110,85 @@ class ResponseTable:
     and getting its own demand array. The row's first entry, renewable[0],
     is also the step's renewable generation.
 
-    Memos are kept per scenario object, and the table holds each scenario it
-    has seen, so nothing can be served to another scenario. The table lives
-    as long as its owner keeps it: meta_train and evaluate_adaptation make
-    one per call; a GridEnv given none makes a private one.
+    Entries are kept per scenario object, each with the scenario's
+    cooperative mask, and the table holds each scenario it has seen, so
+    nothing can be served to another scenario. The table lives as long as its
+    owner keeps it: meta_train and evaluate_adaptation make one per call; a
+    GridEnv given none makes a private one.
     """
 
     def __init__(self) -> None:
-        self._memos: dict[int, tuple[Scenario, dict, dict]] = {}
+        self._entries: dict[int, _Entry] = {}
 
-    def memo(
-        self, scenario: Scenario
-    ) -> tuple[dict[_StepKey, _Response], dict[int, StateWindow]]:
-        """The scenario's customer responses, by (t, price, SOCs), and its
-        template windows, by t."""
-        entry = self._memos.get(id(scenario))
-        if entry is None:
-            entry = self._memos[id(scenario)] = (scenario, {}, {})
-        return entry[1], entry[2]
+    def _add(self, scenario: Scenario) -> _Entry:
+        cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
+        entry = self._entries[id(scenario)] = (scenario, cooperative, {}, {})
+        return entry
+
+    def window(self, scenario: Scenario, t: int) -> StateWindow:
+        """The scenario's window at t with zero demand, built on first use."""
+        windows = (self._entries.get(id(scenario)) or self._add(scenario))[3]
+        template = windows.get(t)
+        if template is None:
+            template = build_state_window(scenario.traces, t, scenario.horizon, 0.0)
+            windows[t] = template
+        return template
+
+    def respond(
+        self,
+        scenario: Scenario,
+        t: int,
+        price: float | None,
+        socs: tuple[float | None, ...],
+    ) -> _Response:
+        """(per-customer draws, their total, next SOCs) of the scenario's
+        customers at t under a broadcast price, from the batteries' SOCs
+        (None for elastic customers).
+
+        price=None evaluates each customer against its own reference price
+        (reset preview). Storage customers see a persistence window of the
+        announced price; only the first scheduled move is executed. The
+        renewable generation at t is the cooperative customers' capacity
+        signal. The draws are read-only, as the memo holds them.
+        """
+        _, cooperative, responses, _ = self._entries.get(id(scenario)) or self._add(scenario)
+        key = (t, price, socs)
+        response = responses.get(key)
+        if response is not None:
+            return response
+        if len(socs) != len(scenario.customers):
+            raise ValueError(f"{len(socs)} SOCs given for {len(scenario.customers)} customers")
+        window = scenario.horizon.window_length
+        demands = np.empty(len(scenario.customers))
+        baselines_now = np.empty(len(scenario.customers))
+        next_socs = list(socs)
+        for i, spec in enumerate(scenario.customers):
+            baseline_window = spec.baseline_load[t : t + window]
+            customer_price = spec.reference_price if price is None else price
+            baselines_now[i] = baseline_window[0]
+            if spec.kind == "storage":
+                if socs[i] is None:
+                    raise ValueError(f"storage customer {i} needs a SOC, got None")
+                demands[i], next_socs[i] = storage_demand(
+                    spec, (customer_price,) * window, baseline_window, socs[i]
+                )
+            else:
+                demands[i] = elastic_demand(
+                    baseline_window[0],
+                    customer_price,
+                    spec.elasticity,
+                    spec.reference_price,
+                )
+        capacity_signal = float(self.window(scenario, t).exogenous[0])
+        adjusted = cooperative_adjustment(demands, baselines_now, cooperative, capacity_signal)
+        adjusted.flags.writeable = False
+        response = responses[key] = (adjusted, float(adjusted.sum()), tuple(next_socs))
+        return response
 
 
 class GridEnv:
-    """Single-scenario episodic simulator.
+    """Single-scenario episodic simulator: the episode cursor (t, done and
+    the batteries' SOCs) over its ResponseTable's responses and windows.
 
     One instance is strictly sequential (battery state serializes steps).
     Instances given one ResponseTable share its memo and must run in one
@@ -138,18 +197,10 @@ class GridEnv:
 
     def __init__(self, scenario: Scenario, *, responses: ResponseTable | None = None):
         self.scenario = scenario
+        self._table = responses if responses is not None else ResponseTable()
         self._t: int | None = None
         self._done = False
         self._soc: tuple[float | None, ...] = (None,) * len(scenario.customers)
-        table = responses if responses is not None else ResponseTable()
-        self._responses, self._windows = table.memo(scenario)
-        self._cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
-        self._last_demands: np.ndarray | None = None
-
-    @property
-    def last_customer_demands(self) -> np.ndarray | None:
-        """Per-customer draws of the last step or reset, as a fresh array."""
-        return None if self._last_demands is None else self._last_demands.copy()
 
     @property
     def t(self) -> int | None:
@@ -173,9 +224,8 @@ class GridEnv:
             spec.battery.soc if spec.kind == "storage" else None
             for spec in scenario.customers
         )
-        template = self._template(0)
-        e_demand, _ = self._aggregate_demand(template, None)
-        return with_demand(template, e_demand)
+        _, e_demand, _ = self._table.respond(scenario, 0, None, self._soc)
+        return with_demand(self._table.window(scenario, 0), e_demand)
 
     def step(self, price: float) -> StepOutcome:
         """Broadcast a retail price, collect adjusted demand, advance time.
@@ -191,88 +241,23 @@ class GridEnv:
         if not math.isfinite(price_value) or price_value < 0.0:
             raise ValueError(f"price must be finite and >= 0, got {price_value}")
 
-        scenario = self.scenario
+        scenario, table = self.scenario, self._table
         t = self._t
-        template = self._template(t)
-        e_demand, self._soc = self._aggregate_demand(template, price_value)
-        purchase = scenario.traces.purchase_price[t]
-
+        _, e_demand, self._soc = table.respond(scenario, t, price_value, self._soc)
         self._t = t + 1
         self._done = self._t == scenario.episode_length
         # At the minimum trace length the terminal window cannot start at
         # episode_length; clamp to the last valid index. Terminal states are
         # never bootstrapped, so only their contents matter for logging.
         window_t = min(self._t, len(scenario.traces) - scenario.horizon.p - 1)
-        next_state = with_demand(self._template(window_t), e_demand)
         return StepOutcome(
-            next_state=next_state,
+            next_state=with_demand(table.window(scenario, window_t), e_demand),
             e_demand=e_demand,
-            e_renewable=float(template.exogenous[0]),
+            e_renewable=float(table.window(scenario, t).exogenous[0]),
             price_sold=price_value,
-            purchase_price=purchase,
+            purchase_price=scenario.traces.purchase_price[t],
             done=self._done,
         )
-
-    def _template(self, t: int) -> StateWindow:
-        """The window at t with zero demand, built on first use per table."""
-        template = self._windows.get(t)
-        if template is None:
-            scenario = self.scenario
-            template = build_state_window(scenario.traces, t, scenario.horizon, 0.0)
-            self._windows[t] = template
-        return template
-
-    def _aggregate_demand(
-        self, template: StateWindow, price: float | None
-    ) -> tuple[float, tuple[float | None, ...]]:
-        """Total grid draw at the template's t under a broadcast price, and
-        the SOCs it leaves the batteries at.
-
-        price=None evaluates each customer against its own reference price
-        (reset preview). Storage customers see a persistence window of the
-        announced price; only the first scheduled move is executed. The
-        template's renewable generation is the cooperative customers'
-        capacity signal. The response is memoized in the env's ResponseTable
-        under (t, price, SOCs); a hit skips every customer and the
-        cooperative adjustment. The memo's per-customer draws are kept for
-        last_customer_demands; the SOCs are not committed.
-        """
-        key = (template.t, price, self._soc)
-        response = self._responses.get(key)
-        if response is None:
-            response = self._respond(template.t, price, float(template.exogenous[0]))
-            self._responses[key] = response
-        demands, total, next_soc = response
-        self._last_demands = demands
-        return total, next_soc
-
-    def _respond(self, t: int, price: float | None, capacity_signal: float) -> _Response:
-        scenario = self.scenario
-        window = scenario.horizon.window_length
-        demands = np.empty(len(scenario.customers))
-        baselines_now = np.empty(len(scenario.customers))
-        next_soc = list(self._soc)
-        for i, spec in enumerate(scenario.customers):
-            baseline_window = spec.baseline_load[t : t + window]
-            customer_price = spec.reference_price if price is None else price
-            baselines_now[i] = baseline_window[0]
-            if spec.kind == "storage":
-                soc = self._soc[i]
-                assert soc is not None
-                demands[i], next_soc[i] = storage_demand(
-                    spec, (customer_price,) * window, baseline_window, soc
-                )
-            else:
-                demands[i] = elastic_demand(
-                    baseline_window[0],
-                    customer_price,
-                    spec.elasticity,
-                    spec.reference_price,
-                )
-        adjusted = cooperative_adjustment(
-            demands, baselines_now, self._cooperative, capacity_signal
-        )
-        return adjusted, float(adjusted.sum()), tuple(next_soc)
 
     def battery_soc(self, customer_index: int) -> float | None:
         """Current SOC of a storage customer (None for elastic ones)."""

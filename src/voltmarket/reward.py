@@ -9,6 +9,11 @@ from dataclasses import dataclass
 R1_MODES = ("price_diff", "energy_weighted")
 
 
+def r1_mode_violations(mode: str) -> list[str]:
+    """The r1-mode rule: one of R1_MODES."""
+    return [] if mode in R1_MODES else [f"r1_mode must be one of {list(R1_MODES)}, got {mode!r}"]
+
+
 @dataclass(frozen=True)
 class RewardWeights:
     """Non-negative weights for the two sub-rewards; both default to 1."""
@@ -65,8 +70,9 @@ def breakdown(
     r1_mode "price_diff" is the plain per-kWh margin; "energy_weighted"
     multiplies the margin by the energy actually sold.
     """
-    if r1_mode not in R1_MODES:
-        raise ValueError(f"r1_mode must be one of {R1_MODES}, got {r1_mode!r}")
+    problems = r1_mode_violations(r1_mode)
+    if problems:
+        raise ValueError("; ".join(problems))
     r1 = reward_r1(price_sold, price_purchased)
     if r1_mode == "energy_weighted":
         r1 *= e_demand

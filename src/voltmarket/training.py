@@ -23,7 +23,7 @@ from .agent import (
     zeros_params,
 )
 from .env import GridEnv, ResponseTable, Scenario
-from .reward import R1_MODES, RewardWeights, breakdown
+from .reward import RewardWeights, breakdown, r1_mode_violations
 from .telemetry import EpisodeRecord, EpisodeStep, ViolationLog, objective_returns
 
 
@@ -96,10 +96,7 @@ class TrainConfig(LearningConfig):
             raise ValueError("; ".join(problems))
 
     def violations(self) -> list[str]:
-        problems = super().violations()
-        if self.r1_mode not in R1_MODES:
-            problems.append(f"r1_mode must be one of {list(R1_MODES)}, got {self.r1_mode!r}")
-        return problems
+        return super().violations() + r1_mode_violations(self.r1_mode)
 
 
 @dataclass

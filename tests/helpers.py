@@ -320,15 +320,15 @@ def reference_first_move(battery: Battery, soc_levels: int, baseline: float, del
     return draw, new_soc
 
 
-# --- unmemoized customer response, as GridEnv computed it per step -------
+# --- unmemoized customer response, as ResponseTable.respond computes it --
 
 
 def reference_customer_response(scenario: Scenario, t: int, price, soc, capacity_signal: float):
     """(raw draws, draws after cooperative adjustment, next SOCs) at timestep t.
 
-    The per-customer loop of GridEnv._aggregate_demand before its response
-    memo, with every storage solve run afresh; price=None is the reset
-    preview, which prices each customer at its reference price.
+    The per-customer loop of ResponseTable.respond without its memo, with
+    every storage solve run afresh; price=None is the reset preview, which
+    prices each customer at its reference price.
     """
     window = scenario.horizon.window_length
     cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)

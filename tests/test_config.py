@@ -13,6 +13,7 @@ from voltmarket.config import (
 )
 from voltmarket.meta import MetaConfig
 from voltmarket.model import Horizon
+from voltmarket.reward import r1_mode_violations
 from voltmarket.pool import PoolConfig
 from voltmarket.training import LearningConfig, TrainConfig
 
@@ -117,6 +118,12 @@ def test_bad_r1_mode(tmp_path):
     config = minimal_config(reward={"r1_mode": "nonsense"})
     with pytest.raises(ConfigValidationError, match="r1_mode"):
         load_config(write_config(tmp_path, config))
+
+
+def test_bad_r1_mode_reads_as_the_reward_rule():
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(minimal_config(reward={"r1_mode": "volume"}))
+    assert err.value.violations == [f"reward.{r1_mode_violations('volume')[0]}"]
 
 
 def test_bad_band_shape(tmp_path):

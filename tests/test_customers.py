@@ -478,6 +478,47 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Battery(4.0, 1.0, 1.0, 0.9, 0.9, soc=5.0)
 
+    def test_battery_names_every_problem_at_once(self):
+        with pytest.raises(ValueError) as err:
+            Battery(-1.0, 0.0, 1.0, 2.0, 0.9, soc=5.0)
+        problems = str(err.value).split("; ")
+        assert [p.split()[0] for p in problems] == [
+            "capacity",
+            "max_charge_rate",
+            "charge_efficiency",
+            "soc",
+        ]
+
+    def test_spec_names_every_problem_at_once(self):
+        with pytest.raises(ValueError) as err:
+            CustomerSpec(
+                kind="elastic",
+                cooperative=False,
+                baseline_load=(-1.0,),
+                reference_price=0.0,
+                peak_weight=-1.0,
+                battery=make_battery(),
+                elasticity=0.5,
+            )
+        problems = str(err.value).split("; ")
+        assert [p.split()[0] for p in problems] == [
+            "baseline_load",
+            "reference_price",
+            "peak_weight",
+            "elastic",
+            "elasticity",
+        ]
+
+    def test_spec_skips_dependent_checks(self):
+        # An unknown kind has no kind-specific checks, and a missing
+        # elasticity has no sign to check.
+        with pytest.raises(ValueError) as err:
+            CustomerSpec(kind="solar", cooperative=False, baseline_load=(1.0,), reference_price=0.1)
+        assert str(err.value) == "kind must be one of ('storage', 'elastic'), got 'solar'"
+        with pytest.raises(ValueError) as err:
+            CustomerSpec(kind="elastic", cooperative=False, baseline_load=(1.0,), reference_price=0.1)
+        assert str(err.value) == "elastic customer requires an elasticity"
+
     def test_battery_is_frozen(self):
         battery = make_battery()
         for field in fields(Battery):

@@ -194,15 +194,19 @@ class TestStep:
 
     def test_bookkeeping_conserved(self):
         scenario = small_scenario(episode_length=8, kinds=("elastic", "storage", "elastic"))
-        env = GridEnv(scenario)
+        table = ResponseTable()
+        env = GridEnv(scenario, responses=table)
         env.reset()
         rng = np.random.default_rng(0)
         total_demand = 0.0
         total_draws = 0.0
         for _ in range(8):
-            outcome = env.step(float(rng.choice([0.05, 0.15, 0.3])))
+            t = env.t
+            soc = tuple(env.battery_soc(i) for i in range(len(scenario.customers)))
+            price = float(rng.choice([0.05, 0.15, 0.3]))
+            outcome = env.step(price)
             total_demand += outcome.e_demand
-            total_draws += float(env.last_customer_demands.sum())
+            total_draws += float(table.respond(scenario, t, price, soc)[0].sum())
         assert total_demand == total_draws
 
     def test_raising_price_does_not_raise_demand(self):
@@ -301,13 +305,27 @@ def _window_fields(window):
 class TestResponseTable:
     GRID_PRICES = (0.05, 0.15, 0.25, 0.35, 0.45)
 
-    def congested_scenario(self, episode_length=6, base_level=6.0):
+    @pytest.fixture
+    def adjustments(self, monkeypatch):
+        # respond runs cooperative_adjustment once per miss and never on a hit.
+        calls = []
+        original = voltmarket.env.cooperative_adjustment
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(voltmarket.env, "cooperative_adjustment", counting)
+        return calls
+
+    def congested_scenario(self, episode_length=6, base_level=6.0, supply_kw=(8.0, 2.0)):
         # Two cooperative customers and a renewable supply well below total
         # demand, so cooperative_adjustment mostly takes its scaling path;
         # soc_levels=4 puts the initial SOC (capacity/2) off the SOC grid.
         p = 2
         length = episode_length + p + 1
-        traces = varied_traces(length, seed=11, solar_capacity_kw=8.0, wind_capacity_kw=2.0)
+        solar_kw, wind_kw = supply_kw
+        traces = varied_traces(length, seed=11, solar_capacity_kw=solar_kw, wind_capacity_kw=wind_kw)
         base = tuple(base_level + 2.0 * math.sin(k / 3.0) for k in range(length))
         peaky = tuple(4.0 + 3.0 * math.cos(k / 2.0) for k in range(length))
         customers = (
@@ -328,7 +346,7 @@ class TestResponseTable:
             scenario.horizon.timestep_minutes,
         )
 
-    def test_shared_table_matches_unmemoized_reference_exactly(self):
+    def test_shared_table_matches_unmemoized_reference_exactly(self, adjustments):
         scenario = self.congested_scenario()
         traces, horizon = scenario.traces, scenario.horizon
         initial_soc = tuple(
@@ -348,6 +366,7 @@ class TestResponseTable:
                 raw, demands, _ = reference_customer_response(
                     scenario, 0, None, initial_soc, self.renewable(scenario, 0)
                 )
+                key = (0, None, initial_soc)
                 state[i] = (0, initial_soc)
                 expected = build_state_window(traces, 0, horizon, float(demands.sum()))
                 assert _window_fields(window) == _window_fields(expected)
@@ -373,33 +392,96 @@ class TestResponseTable:
                 assert outcome.price_sold == price
                 assert outcome.purchase_price == traces.purchase_price[t]
                 assert outcome.done == done
+                key = (t, price, soc)
                 state[i] = (t + 1, next_soc)
             responses += 1
             congested += raw.tolist() != demands.tolist()
-            assert env.last_customer_demands.tolist() == demands.tolist()
+            misses = len(adjustments)
+            assert table.respond(scenario, *key)[0].tolist() == demands.tolist()
+            assert len(adjustments) == misses  # the env's own response, a hit
             soc = state[i][1]
             assert [env.battery_soc(c) for c in range(len(soc))] == list(soc)
         # The run covered the scaling path, off-grid prices and memo hits.
         assert congested > 100
         assert off_grid > 20
-        assert len(table.memo(scenario)[0]) < responses - 100
+        assert len(adjustments) < responses - 100
 
-    def test_mutating_last_demands_leaves_the_memo_intact(self):
+    def test_respond_matches_unmemoized_reference_at_unreached_states(self, adjustments):
+        # No env runs: every SOC-grid point of both storage customers, at
+        # several t, under grid prices, off-grid prices and the reset preview.
+        # At this supply the cooperative scaling factor lies strictly between
+        # 0 and 1 on some calls, so the capacity signal decides the draws.
+        scenario = self.congested_scenario(supply_kw=(20.0, 5.0))
+        customers = scenario.customers
+        storage = [i for i, spec in enumerate(customers) if spec.kind == "storage"]
+        grids = [
+            np.linspace(0.0, customers[i].battery.capacity, customers[i].soc_levels)
+            for i in storage
+        ]
+        states = []
+        for a in grids[0]:
+            for b in grids[1]:
+                soc = [None] * len(customers)
+                soc[storage[0]], soc[storage[1]] = float(a), float(b)
+                states.append(tuple(soc))
+        prices = self.GRID_PRICES + (0.0, 0.1234, 0.4711, None)
+        calls = [(t, price, soc) for t in (0, 2, 5) for price in prices for soc in states]
+        table = ResponseTable()
+        expected = []
+        partial = 0
+        for t, price, soc in calls:
+            raw, demands, next_soc = reference_customer_response(
+                scenario, t, price, soc, self.renewable(scenario, t)
+            )
+            draws, total, got_soc = table.respond(scenario, t, price, soc)
+            assert draws.tolist() == demands.tolist()
+            assert total == float(demands.sum())
+            assert got_soc == next_soc
+            expected.append((demands.tolist(), total, got_soc))
+            partial += any(
+                raw[i] > demands[i] > 0.5 * customers[i].baseline_load[t]
+                for i, spec in enumerate(customers)
+                if spec.cooperative
+            )
+        assert len(adjustments) == len(calls)
+        assert partial > 0
+        for (t, price, soc), (demands, total, next_soc) in zip(calls, expected):
+            draws, got_total, got_soc = table.respond(scenario, t, price, soc)
+            assert (draws.tolist(), got_total, got_soc) == (demands, total, next_soc)
+        assert len(adjustments) == len(calls)
+
+    def test_respond_rejects_socs_that_do_not_fit_the_customers(self):
+        scenario = self.congested_scenario()
+        table = ResponseTable()
+        with pytest.raises(ValueError, match="3 SOCs given for 4 customers"):
+            table.respond(scenario, 0, 0.25, (2.0, None, 3.0))
+        with pytest.raises(ValueError, match="storage customer 2 needs a SOC"):
+            table.respond(scenario, 0, 0.25, (2.0, None, None, None))
+
+    def test_respond_draws_are_read_only(self, adjustments):
         scenario = self.congested_scenario()
         table = ResponseTable()
         env = GridEnv(scenario, responses=table)
         env.reset()
-        preview = env.last_customer_demands.tolist()
-        env.last_customer_demands[:] = -1.0
+        soc = tuple(env.battery_soc(i) for i in range(len(scenario.customers)))
         env.step(0.25)
-        first = env.last_customer_demands.tolist()
-        env.last_customer_demands[:] = -1.0
-        entries = len(table.memo(scenario)[0])
+        preview = table.respond(scenario, 0, None, soc)[0]
+        first = table.respond(scenario, 0, 0.25, soc)[0]
+        expected = (preview.tolist(), first.tolist())
+        for draws in (preview, first):
+            with pytest.raises(ValueError):
+                draws[:] = -1.0
+            with pytest.raises(ValueError):
+                draws[0] = -1.0
+        misses = len(adjustments)
         env.reset()
-        assert env.last_customer_demands.tolist() == preview
         env.step(0.25)
-        assert env.last_customer_demands.tolist() == first
-        assert len(table.memo(scenario)[0]) == entries
+        again = (
+            table.respond(scenario, 0, None, soc)[0].tolist(),
+            table.respond(scenario, 0, 0.25, soc)[0].tolist(),
+        )
+        assert again == expected
+        assert len(adjustments) == misses
 
     def test_one_table_keeps_scenarios_apart(self):
         a = self.congested_scenario()

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from voltmarket import RewardWeights, breakdown, reward_r1, reward_r2, reward_total
+from voltmarket import RewardWeights, TrainConfig, breakdown, reward_r1, reward_r2, reward_total
+from voltmarket.reward import r1_mode_violations
 
 # Energies at 1 Wh resolution: keeps (gap)**2 clear of float underflow, where
 # the supply-equals-demand iff cannot hold in any float implementation.
@@ -86,3 +87,15 @@ def test_breakdown_energy_weighted_mode():
 def test_breakdown_rejects_unknown_mode():
     with pytest.raises(ValueError):
         breakdown(0.2, 0.1, 1.0, 1.0, r1_mode="volume")
+
+
+def test_r1_mode_rule_is_stated_once():
+    assert r1_mode_violations("price_diff") == r1_mode_violations("energy_weighted") == []
+    (message,) = r1_mode_violations("volume")
+    assert message == "r1_mode must be one of ['price_diff', 'energy_weighted'], got 'volume'"
+    with pytest.raises(ValueError) as err:
+        breakdown(0.2, 0.1, 1.0, 1.0, r1_mode="volume")
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        TrainConfig(r1_mode="volume")
+    assert str(err.value) == message
