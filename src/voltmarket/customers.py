@@ -74,9 +74,13 @@ class CustomerSpec:
         problems = []
         if self.kind not in CUSTOMER_KINDS:
             problems.append(f"kind must be one of {CUSTOMER_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "baseline_load", tuple(float(x) for x in self.baseline_load))
-        if any(not math.isfinite(x) or x < 0.0 for x in self.baseline_load):
-            problems.append("baseline_load entries must be finite and >= 0")
+        try:
+            object.__setattr__(self, "baseline_load", tuple(float(x) for x in self.baseline_load))
+        except (TypeError, ValueError) as exc:
+            problems.append(f"baseline_load entries must be numbers: {exc}")
+        else:
+            if any(not math.isfinite(x) or x < 0.0 for x in self.baseline_load):
+                problems.append("baseline_load entries must be finite and >= 0")
         if not 0.0 < self.reference_price < math.inf:
             problems.append(f"reference_price must be finite and > 0, got {self.reference_price}")
         if not (math.isfinite(self.peak_weight) and self.peak_weight >= 0.0):
@@ -159,11 +163,11 @@ def _dp_structure(
     """SOC grid, per-level moves and ascending distinct grid deltas of one battery.
 
     Memoized on the battery's values. Per SOC index the transitions are
-    (next_index, battery_delta_kwh, grid_delta_kwh) candidates: idle,
-    full-rate charge, full-rate discharge, with targets clipped to
-    [0, capacity] and rounded to the SOC grid. Candidates are ordered by
-    |battery energy| so that the scheduler's tie-breaking prefers the
-    smaller move; actions that round to idle are dropped as duplicates.
+    (next_index, battery_delta_kwh, grid_delta_kwh) moves: idle, full-rate
+    charge, full-rate discharge, with targets clipped to [0, capacity] and
+    rounded to the SOC grid. Moves are ordered by |battery energy| so that
+    the scheduler's tie-breaking prefers the smaller move; actions that
+    round to idle are dropped as duplicates.
     """
     grid = np.linspace(0.0, capacity, soc_levels).tolist()
     transitions = []
@@ -184,17 +188,18 @@ def _dp_structure(
 
 
 def _solve_capped(
-    candidates: list[list[list[tuple[int, float, float, float]]]],
+    transitions: tuple[tuple[tuple[int, float, float], ...], ...],
+    prices: Sequence[float],
+    baselines: Sequence[float],
     start: int,
     cap: float,
 ) -> tuple[float, list[tuple[int, float, float]], float]:
     """Backward DP minimizing purchase cost with every grid draw <= cap.
 
-    candidates[t][i] holds the moves from SOC index i at step t as
-    (next_index, battery_delta, grid_draw, price * grid_draw), with the draw
-    already clamped at zero and the moves in transition order, so the first
-    of equally cheap moves is the smaller one. cap=math.inf admits every
-    move. Returns (cost from the start state, per-step (next_index,
+    A move (next_index, battery_delta, grid_delta) of transitions[i] draws
+    max(0, baseline + grid_delta) at a step and costs price * draw; of
+    equally cheap moves the first, the smaller, wins. cap=math.inf admits
+    every move. Returns (cost from the start state, per-step (next_index,
     battery_delta, grid_draw) decisions, least reachable peak). Cost is +inf
     and the plan empty when no plan of finite cost respects the cap.
 
@@ -202,26 +207,28 @@ def _solve_capped(
     from the start state that respects the cap, whatever its cost: per state
     reach_t[i] = min over allowed moves of max(draw, reach_t+1[j]).
     """
-    levels = len(candidates[0])
+    levels = len(transitions)
     value_next = [0.0] * levels
     reach_next = [-math.inf] * levels
-    best: list[list[tuple[int, float, float, float] | None]] = []
-    for step in reversed(candidates):
+    best: list[list[tuple[int, float, float] | None]] = []
+    for price, baseline in zip(reversed(prices), reversed(baselines)):
         value_t = []
         reach_t = []
         best_t = []
-        for moves in step:
+        for moves in transitions:
             least = math.inf
             lowest = math.inf
             choice = None
-            for move in moves:
-                j, _, draw, price_draw = move
+            for j, delta, grid_delta in moves:
+                draw = baseline + grid_delta
+                if draw < 0.0:
+                    draw = 0.0
                 if draw > cap:
                     continue
-                cost = price_draw + value_next[j]
+                cost = price * draw + value_next[j]
                 if cost < least:
                     least = cost
-                    choice = move
+                    choice = (j, delta, draw)
                 reach = reach_next[j]
                 if draw > reach:
                     reach = draw
@@ -233,16 +240,15 @@ def _solve_capped(
         value_next = value_t
         reach_next = reach_t
         best.append(best_t)
-    best.reverse()
 
     if not math.isfinite(value_next[start]):
         return math.inf, [], reach_next[start]
     plan: list[tuple[int, float, float]] = []
     state = start
-    for best_t in best:
+    for best_t in reversed(best):
         decision = best_t[state]
         assert decision is not None
-        plan.append(decision[:3])
+        plan.append(decision)
         state = decision[0]
     return value_next[start], plan, reach_next[start]
 
@@ -259,11 +265,11 @@ def _schedule(
     grid_draw) moves, and the SOC grid its indices refer to.
 
     The peak term breaks per-step separability. The optimal plan's peak draw
-    is one of the finitely many candidate draws, so the plan is the capped
-    DP's plan at the candidate cap of least total cost + peak_weight*cap,
-    the smallest such cap on ties. The caps are swept downward from the
-    uncapped plan's peak, which starts as the best, and the sweep skips only
-    caps that cannot replace it:
+    is one of the finitely many draws max(0, baseline + grid_delta), so the
+    plan is the capped DP's plan at the draw cap of least total cost +
+    peak_weight*cap, the smallest such cap on ties. The caps are swept
+    downward from the uncapped plan's peak, which starts as the best, and
+    the sweep skips only caps that cannot replace it:
 
     - The capped DP minimizes over a subset of the uncapped DP's moves at
       every step, and rounded addition is monotone, so by induction over the
@@ -309,25 +315,14 @@ def _schedule(
         soc_levels,
     )
     start = _nearest_index(grid, soc)
+    prices = [float(p) for p in price_window]
     baselines = [float(b) for b in baseline_window]
-    candidates = []
-    for price, baseline in zip(map(float, price_window), baselines):
-        step = []
-        for cands in transitions:
-            moves = []
-            for j, delta, grid_delta in cands:
-                draw = baseline + grid_delta
-                if draw < 0.0:
-                    draw = 0.0
-                moves.append((j, delta, draw, price * draw))
-            step.append(moves)
-        candidates.append(step)
 
-    base_cost, plan, least_peak = _solve_capped(candidates, start, math.inf)
+    base_cost, plan, least_peak = _solve_capped(transitions, prices, baselines, start, math.inf)
     if not plan:
         raise ValueError(
-            f"price_window {[float(p) for p in price_window]} and baseline_window "
-            f"{baselines} admit no plan of finite cost; both must be finite"
+            f"price_window {prices} and baseline_window {baselines} admit no plan "
+            "of finite cost; both must be finite"
         )
     if peak_weight > 0.0:
         peak = max(draw for _, _, draw in plan)
@@ -339,7 +334,7 @@ def _schedule(
                     continue
                 if cap < least_peak:
                     break
-                cost, cap_plan, _ = _solve_capped(candidates, start, cap)
+                cost, cap_plan, _ = _solve_capped(transitions, prices, baselines, start, cap)
                 if cost + peak_weight * least_peak > best_total:
                     break
                 total = cost + peak_weight * cap
@@ -376,8 +371,7 @@ def storage_demand(
 ) -> tuple[float, float]:
     """Receding-horizon step: schedule over the window, execute the first move.
 
-    Returns the resulting grid draw and the new SOC (a point on the SOC grid;
-    clamped against sub-ulp excursions past the capacity bounds).
+    Returns the resulting grid draw and the new SOC, a point on the SOC grid.
     """
     if spec.kind != "storage":
         raise ValueError(f"storage_demand requires a storage customer, got {spec.kind!r}")
@@ -389,8 +383,7 @@ def storage_demand(
         price_window, baseline_window, battery, soc, spec.soc_levels, spec.peak_weight
     )
     next_index, _, draw = plan[0]
-    new_soc = float(min(max(grid[next_index], 0.0), battery.capacity))
-    return draw, new_soc
+    return draw, grid[next_index]
 
 
 def cooperative_adjustment(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import FeatureScaling, PolicyParams, PriceGrid
+from .agent import FeatureScaling, PolicyParams, PriceGrid, n_features
 from .customers import Battery, CustomerSpec
 from .env import Scenario
 from .model import Horizon, ScenarioTraces, WeatherSample
@@ -192,6 +192,12 @@ def load_policy(path: str | os.PathLike) -> tuple[PolicyParams, PriceGrid, Horiz
         params = PolicyParams(weights=np.array(doc["weights"], dtype=float), scaling=scaling)
     except (KeyError, TypeError, ValueError) as exc:
         raise PolicyFileError(f"{path}: corrupt policy file: {exc}") from exc
+    needed = n_features(horizon.p)
+    if params.k != grid.k or params.n_features != needed:
+        raise PolicyFileError(
+            f"{path}: policy has {params.k} weight rows of {params.n_features} features "
+            f"but its grid has {grid.k} levels and horizon p={horizon.p} needs {needed}"
+        )
     return params, grid, horizon
 
 

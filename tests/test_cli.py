@@ -67,6 +67,21 @@ def test_evaluate_rejects_policy_of_another_horizon(tmp_path, capsys, horizon):
     assert not (out / "eval_summary.json").exists()
 
 
+def test_evaluate_rejects_policy_missing_a_weight_row(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("train", "--config", config_path, "--out", out) == 0
+    policy = out / "policy.json"
+    doc = json.loads(policy.read_text())
+    doc["weights"].pop()
+    policy.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", config_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert str(policy) in err
+    assert "policy has 2 weight rows" in err and "its grid has 3 levels" in err
+    assert not (out / "eval_summary.json").exists()
+
+
 @pytest.mark.parametrize("section, key", [("seeds", "train_seed"), ("pool", "base_seed")])
 def test_validate_negative_config_seed_exit_2(tmp_path, capsys, section, key):
     path = write_config(tmp_path, minimal_config(**{section: {key: -3}}))

@@ -88,6 +88,19 @@ def _random_instance(rnd: random.Random, batteries: list[tuple[Battery, int]]):
     return prices, baselines, battery, levels, peak_weight
 
 
+def _assert_equals_reference(prices, baselines, battery, levels, peak_weight):
+    """dp_schedule's plan and storage_demand's first move equal the scalar
+    reference's exactly."""
+    deltas, indices = reference_schedule(prices, baselines, battery, levels, peak_weight)
+    plan = dp_schedule(prices, baselines, battery, levels, peak_weight)
+    assert plan.tolist() == deltas.tolist()
+
+    spec = storage_spec(tuple(baselines), battery, peak_weight=peak_weight, soc_levels=levels)
+    assert storage_demand(spec, prices, baselines, battery.soc) == (
+        reference_first_move(battery, levels, baselines[0], deltas, indices)
+    )
+
+
 class TestElasticDemand:
     def test_reference_price_gives_baseline(self):
         assert elastic_demand(10.0, 0.15, -0.7, 0.15) == pytest.approx(10.0)
@@ -254,9 +267,9 @@ class TestDpSchedule:
         solve = customers._solve_capped
         sweeps: list[tuple[float, float, list, float]] = []
 
-        def recording(candidates, start, cap):
-            cost, plan, least_peak = solve(candidates, start, cap)
-            sweeps.append((cap, cost, plan, least_peak))
+        def recording(*args):
+            cost, plan, least_peak = solve(*args)
+            sweeps.append((args[-1], cost, plan, least_peak))
             return cost, plan, least_peak
 
         monkeypatch.setattr(customers, "_solve_capped", recording)
@@ -284,9 +297,9 @@ class TestDpSchedule:
         solve = customers._solve_capped
         least_peaks: list[float] = []
 
-        def recording(candidates, start, cap):
-            result = solve(candidates, start, cap)
-            if cap == math.inf:
+        def recording(*args):
+            result = solve(*args)
+            if args[-1] == math.inf:
                 least_peaks.append(result[2])
             return result
 
@@ -320,17 +333,19 @@ class TestDpSchedule:
         rnd = random.Random(2024)
         batteries = [_random_battery(rnd) for _ in range(64)]
         for _ in range(5000):
-            prices, baselines, battery, levels, peak_weight = _random_instance(rnd, batteries)
-            deltas, indices = reference_schedule(prices, baselines, battery, levels, peak_weight)
-            plan = dp_schedule(prices, baselines, battery, levels, peak_weight)
-            assert plan.tolist() == deltas.tolist()
+            _assert_equals_reference(*_random_instance(rnd, batteries))
 
-            spec = storage_spec(
-                tuple(baselines), battery, peak_weight=peak_weight, soc_levels=levels
-            )
-            assert storage_demand(spec, prices, baselines, battery.soc) == (
-                reference_first_move(battery, levels, baselines[0], deltas, indices)
-            )
+    def test_flat_price_windows_equal_scalar_reference_exactly(self):
+        # ResponseTable.respond announces one price p > 0 over the whole
+        # window, which the random windows above rarely draw.
+        rnd = random.Random(2026)
+        batteries = [_random_battery(rnd) for _ in range(64)]
+        for _ in range(3000):
+            _, baselines, battery, levels, peak_weight = _random_instance(rnd, batteries)
+            baselines = tuple(float(b) for b in baselines)
+            price = rnd.randint(1, 16) / 4.0 if rnd.random() < 0.5 else rnd.uniform(0.01, 4.0)
+            prices = (price,) * len(baselines)
+            _assert_equals_reference(prices, baselines, battery, levels, peak_weight)
 
 
 class TestStorageDemand:
@@ -508,6 +523,18 @@ class TestSpecValidation:
             "elastic",
             "elasticity",
         ]
+
+    def test_spec_names_a_non_numeric_baseline_among_the_others(self):
+        with pytest.raises(ValueError) as err:
+            CustomerSpec(
+                kind="elastic",
+                cooperative=False,
+                baseline_load=("x",),
+                reference_price=-1.0,
+                elasticity=-0.5,
+            )
+        problems = str(err.value).split("; ")
+        assert [p.split()[0] for p in problems] == ["baseline_load", "reference_price"]
 
     def test_spec_skips_dependent_checks(self):
         # An unknown kind has no kind-specific checks, and a missing

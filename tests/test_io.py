@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from voltmarket import FeatureScaling, Horizon, PolicyParams, PriceGrid
+from voltmarket import FeatureScaling, Horizon, PolicyParams, PriceGrid, n_features
 from voltmarket.io import (
     ArtifactWriter,
     PolicyFileError,
@@ -90,15 +90,18 @@ class TestIngestTraces:
 
 
 class TestPolicyPersistence:
-    def params(self):
-        scaling = FeatureScaling(
-            mean=np.array([0.5, -2.0, 3.14159]), scale=np.array([1.0, 0.25, 7.5])
-        )
-        weights = np.array([[0.1, -0.2, 0.3, 1e-9], [4.0, 5.0, -6.0, 0.0]])
+    def params(self, horizon_p=1):
+        # Two weight rows over the features of horizon_p, with values whose
+        # every bit must survive the round trip.
+        n_raw = n_features(horizon_p) - 1
+        rng = np.random.default_rng(0)
+        scaling = FeatureScaling(mean=rng.normal(size=n_raw), scale=rng.uniform(0.25, 7.5, n_raw))
+        weights = rng.normal(size=(2, n_raw + 1))
+        weights[0, -1] = 1e-9
         return PolicyParams(weights=weights, scaling=scaling)
 
     def test_round_trip_exact(self, tmp_path):
-        params = self.params()
+        params = self.params(2)
         grid = PriceGrid.uniform(0.05, 0.45, 2)
         horizon = Horizon(2, 30)
         path = tmp_path / "policy.json"
@@ -133,6 +136,26 @@ class TestPolicyPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(PolicyFileError):
             load_policy(path)
+
+    def test_weight_rows_must_match_grid(self, tmp_path):
+        path = tmp_path / "policy.json"
+        persist_policy(self.params(), PriceGrid.uniform(0.1, 0.4, 3), Horizon(1, 60), path)
+        with pytest.raises(PolicyFileError) as err:
+            load_policy(path)
+        assert str(err.value) == (
+            f"{path}: policy has 2 weight rows of 17 features "
+            "but its grid has 3 levels and horizon p=1 needs 17"
+        )
+
+    def test_features_must_match_horizon(self, tmp_path):
+        path = tmp_path / "policy.json"
+        persist_policy(self.params(2), PriceGrid.uniform(0.1, 0.4, 2), Horizon(3, 60), path)
+        with pytest.raises(PolicyFileError) as err:
+            load_policy(path)
+        assert str(err.value) == (
+            f"{path}: policy has 2 weight rows of 25 features "
+            "but its grid has 2 levels and horizon p=3 needs 33"
+        )
 
     @pytest.mark.parametrize(
         "field, value", [("mean", float("nan")), ("scale", float("inf")), ("mean", float("-inf"))]

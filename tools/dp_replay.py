@@ -10,9 +10,10 @@ call's inputs, then replays them and prints:
 - ``solves``: the number of recorded ``storage_demand`` calls;
 - ``sweeps_per_solve``: ``customers._solve_capped`` calls per solve;
 - ``us_per_solve``: best of three timed replays of every solve, in µs;
-- with ``--check``, ``mismatches``: solves whose whole plan (moves and next
-  SOC indices) differs from ``tests/helpers.reference_schedule``, the
-  exhaustive ascending cap sweep.
+- with ``--check``, ``mismatches``: solves whose whole plan differs from
+  ``tests/helpers.reference_schedule``, the exhaustive ascending cap sweep,
+  in a move's next SOC index, its battery delta or its grid draw, the
+  latter checked against ``tests/helpers.oracle_draw``.
 
 It imports the workloads and the tracer from ``perfbench/`` and changes
 nothing there.
@@ -63,7 +64,7 @@ def record(workload: str, seed: int) -> list[tuple]:
 
 def replay(solves: list[tuple], check: bool = False) -> dict:
     """Sweep count, best-of-three µs per solve and, with check, the number
-    of plans that differ from the reference sweep."""
+    of plans whose moves differ from the reference sweep's."""
     solve = customers._solve_capped
     sweeps = 0
 
@@ -93,7 +94,7 @@ def replay(solves: list[tuple], check: bool = False) -> dict:
         "us_per_solve": 1e6 * best / n if n else 0.0,
     }
     if check:
-        from tests.helpers import reference_schedule
+        from tests.helpers import oracle_draw, reference_schedule
 
         mismatches = 0
         for spec, prices, baselines, soc in solves:
@@ -101,10 +102,14 @@ def replay(solves: list[tuple], check: bool = False) -> dict:
             deltas, indices = reference_schedule(
                 prices, baselines, battery, spec.soc_levels, spec.peak_weight
             )
+            expected = [
+                (j, delta, oracle_draw(battery, baseline, delta))
+                for j, delta, baseline in zip(indices.tolist(), deltas.tolist(), baselines)
+            ]
             plan, _ = customers._schedule(
                 prices, baselines, spec.battery, soc, spec.soc_levels, spec.peak_weight
             )
-            if [(j, delta) for j, delta, _ in plan] != list(zip(indices.tolist(), deltas.tolist())):
+            if plan != expected:
                 mismatches += 1
         result["mismatches"] = mismatches
     return result
