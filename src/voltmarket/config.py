@@ -115,12 +115,16 @@ def _pair(raw) -> tuple[float, float] | None:
 
 
 def _parse(kind, raw):
-    """raw as a value of kind (int, float, str or a [lo, hi] pair), or None."""
+    """raw as a value of kind (int, float, str or a [lo, hi] pair), or None.
+    An int or float must be a JSON number: a bool or a quoted number is None."""
     if kind == _PAIR:
         return _pair(raw)
     if kind is str:
         return raw if isinstance(raw, str) else None
-    if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
+    if (
+        isinstance(raw, (bool, str))
+        or (kind is int and isinstance(raw, float) and not raw.is_integer())
+    ):
         return None
     try:
         value = kind(raw)

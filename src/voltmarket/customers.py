@@ -5,12 +5,34 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 CUSTOMER_KINDS = ("storage", "elastic")
+
+
+def _is_number_type(cls: type, kind=numbers.Real) -> bool:
+    """cls is a kind (numbers.Real or numbers.Integral), and not bool."""
+    return issubclass(cls, kind) and not issubclass(cls, bool)
+
+
+def _field_problems(owner, rules: dict, kind=numbers.Real) -> list[str]:
+    """owner's problems under rules, {field: (test, requirement)}: a field
+    that is not of kind is named as such; one that fails its test is named
+    with its requirement."""
+    noun = "an integer" if kind is numbers.Integral else "a number"
+    problems = []
+    for name, (test, requirement) in rules.items():
+        value = getattr(owner, name)
+        if not _is_number_type(type(value), kind):
+            problems.append(f"{name} must be {noun}, got {value!r}")
+        elif not test(value):
+            problems.append(f"{name} {requirement}, got {value}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -30,23 +52,21 @@ class Battery:
     soc: float
 
     def __post_init__(self) -> None:
-        problems = []
-        if not 0.0 < self.capacity < math.inf:
-            problems.append(f"capacity must be finite and > 0, got {self.capacity}")
-        for name, rate in (
-            ("max_charge_rate", self.max_charge_rate),
-            ("max_discharge_rate", self.max_discharge_rate),
-        ):
-            if not rate > 0.0:
-                problems.append(f"{name} must be > 0, got {rate}")
-        for name, eta in (
-            ("charge_efficiency", self.charge_efficiency),
-            ("discharge_efficiency", self.discharge_efficiency),
-        ):
-            if not 0.0 < eta <= 1.0:
-                problems.append(f"{name} must lie in (0, 1], got {eta}")
-        if not 0.0 <= self.soc <= self.capacity:
-            problems.append(f"soc must lie in [0, {self.capacity}], got {self.soc}")
+        rate = (lambda v: v > 0.0, "must be > 0")
+        efficiency = (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+        # A capacity that is not a number is its own problem, not soc's.
+        capacity = self.capacity if _is_number_type(type(self.capacity)) else math.inf
+        problems = _field_problems(
+            self,
+            {
+                "capacity": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+                "max_charge_rate": rate,
+                "max_discharge_rate": rate,
+                "charge_efficiency": efficiency,
+                "discharge_efficiency": efficiency,
+                "soc": (lambda v: 0.0 <= v <= capacity, f"must lie in [0, {self.capacity}]"),
+            },
+        )
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -74,29 +94,41 @@ class CustomerSpec:
         problems = []
         if self.kind not in CUSTOMER_KINDS:
             problems.append(f"kind must be one of {CUSTOMER_KINDS}, got {self.kind!r}")
-        try:
-            object.__setattr__(self, "baseline_load", tuple(float(x) for x in self.baseline_load))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"baseline_load entries must be numbers: {exc}")
+        load = self.baseline_load
+        # A string is iterable too, but its characters are not loads.
+        sequence = isinstance(load, Iterable) and not isinstance(load, (str, bytes))
+        entries = tuple(load) if sequence else ()
+        # Checked per distinct type: a pool builds specs with long baselines.
+        bad = {cls for cls in set(map(type, entries)) if not _is_number_type(cls)}
+        if not sequence:
+            problems.append(f"baseline_load must be a sequence of numbers, got {load!r}")
+        elif bad:
+            first = next(x for x in entries if type(x) in bad)
+            problems.append(f"baseline_load entries must be numbers, got {first!r}")
         else:
+            object.__setattr__(self, "baseline_load", tuple(float(x) for x in entries))
             if any(not math.isfinite(x) or x < 0.0 for x in self.baseline_load):
                 problems.append("baseline_load entries must be finite and >= 0")
-        if not 0.0 < self.reference_price < math.inf:
-            problems.append(f"reference_price must be finite and > 0, got {self.reference_price}")
-        if not (math.isfinite(self.peak_weight) and self.peak_weight >= 0.0):
-            problems.append(f"peak_weight must be finite and >= 0, got {self.peak_weight}")
+        problems += _field_problems(
+            self,
+            {
+                "reference_price": (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+                "peak_weight": (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
+            },
+        )
         if self.kind == "storage":
             if self.battery is None:
                 problems.append("storage customer requires a battery")
-            if self.soc_levels < 2:
-                problems.append(f"soc_levels must be >= 2, got {self.soc_levels}")
+            problems += _field_problems(
+                self, {"soc_levels": (lambda v: v >= 2, "must be >= 2")}, numbers.Integral
+            )
         elif self.kind == "elastic":
             if self.battery is not None:
                 problems.append("elastic customer must not carry a battery")
             if self.elasticity is None:
                 problems.append("elastic customer requires an elasticity")
-            elif not self.elasticity <= 0.0:
-                problems.append(f"elasticity must be <= 0, got {self.elasticity}")
+            else:
+                problems += _field_problems(self, {"elasticity": (lambda v: v <= 0.0, "must be <= 0")})
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -87,20 +87,17 @@ _StepKey = tuple[int, float | None, tuple[float | None, ...]]
 # Its value: per-customer draws after cooperative adjustment (read-only), their
 # sum as a float, and the next SOCs.
 _Response = tuple[np.ndarray, float, tuple[float | None, ...]]
-# A scenario's entry: the scenario (held so its id is not reused), its
-# cooperative mask, its responses by key and its template windows by t.
-_Entry = tuple[Scenario, np.ndarray, dict[_StepKey, _Response], dict[int, StateWindow]]
 
 
 class ResponseTable:
-    """The customers' response to a price, and the observation windows, of
-    env steps, memoized for the envs and callers given this table.
+    """The memo of one scenario: its customers' response to a price, and its
+    observation windows, for the envs and callers given this table.
 
-    Within one scenario the whole response is a function of (t, price, SOCs):
-    t fixes every baseline window and the renewable generation that is the
-    cooperative capacity, the price fixes every customer's price window and
-    the SOCs fix every battery DP's start. A scenario is immutable, so a hit
-    returns the same bits a recompute would.
+    The whole response is a function of (t, price, SOCs): t fixes every
+    baseline window and the renewable generation that is the cooperative
+    capacity, the price fixes every customer's price window and the SOCs fix
+    every battery DP's start. A scenario is immutable, so a hit returns the
+    same bits a recompute would.
 
     The table also keeps, per t, a template window: build_state_window at t
     with zero demand. Every field of a window except demand depends only on
@@ -110,40 +107,34 @@ class ResponseTable:
     and getting its own demand array. The row's first entry, renewable[0],
     is also the step's renewable generation.
 
-    Entries are kept per scenario object, each with the scenario's
-    cooperative mask, and the table holds each scenario it has seen, so
-    nothing can be served to another scenario. The table lives as long as its
-    owner keeps it: meta_train and evaluate_adaptation make one per call; a
+    start_socs are the SOCs an episode starts from: each battery's own soc,
+    None for elastic customers. The table lives as long as its owner keeps
+    it: meta_train and evaluate_adaptation make one per scenario per call; a
     GridEnv given none makes a private one.
     """
 
-    def __init__(self) -> None:
-        self._entries: dict[int, _Entry] = {}
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.start_socs = tuple(
+            spec.battery.soc if spec.kind == "storage" else None for spec in scenario.customers
+        )
+        self._cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
+        self._responses: dict[_StepKey, _Response] = {}
+        self._windows: dict[int, StateWindow] = {}
 
-    def _add(self, scenario: Scenario) -> _Entry:
-        cooperative = np.array([spec.cooperative for spec in scenario.customers], dtype=bool)
-        entry = self._entries[id(scenario)] = (scenario, cooperative, {}, {})
-        return entry
-
-    def window(self, scenario: Scenario, t: int) -> StateWindow:
-        """The scenario's window at t with zero demand, built on first use."""
-        windows = (self._entries.get(id(scenario)) or self._add(scenario))[3]
-        template = windows.get(t)
+    def window(self, t: int) -> StateWindow:
+        """The window at t with zero demand, built on first use."""
+        template = self._windows.get(t)
         if template is None:
+            scenario = self.scenario
             template = build_state_window(scenario.traces, t, scenario.horizon, 0.0)
-            windows[t] = template
+            self._windows[t] = template
         return template
 
-    def respond(
-        self,
-        scenario: Scenario,
-        t: int,
-        price: float | None,
-        socs: tuple[float | None, ...],
-    ) -> _Response:
-        """(per-customer draws, their total, next SOCs) of the scenario's
-        customers at t under a broadcast price, from the batteries' SOCs
-        (None for elastic customers).
+    def respond(self, t: int, price: float | None, socs: tuple[float | None, ...]) -> _Response:
+        """(per-customer draws, their total, next SOCs) of the customers at t
+        under a broadcast price, from the batteries' SOCs (None for elastic
+        customers).
 
         price=None evaluates each customer against its own reference price
         (reset preview). Storage customers see a persistence window of the
@@ -151,18 +142,18 @@ class ResponseTable:
         renewable generation at t is the cooperative customers' capacity
         signal. The draws are read-only, as the memo holds them.
         """
-        _, cooperative, responses, _ = self._entries.get(id(scenario)) or self._add(scenario)
         key = (t, price, socs)
-        response = responses.get(key)
+        response = self._responses.get(key)
         if response is not None:
             return response
-        if len(socs) != len(scenario.customers):
-            raise ValueError(f"{len(socs)} SOCs given for {len(scenario.customers)} customers")
-        window = scenario.horizon.window_length
-        demands = np.empty(len(scenario.customers))
-        baselines_now = np.empty(len(scenario.customers))
+        customers = self.scenario.customers
+        if len(socs) != len(customers):
+            raise ValueError(f"{len(socs)} SOCs given for {len(customers)} customers")
+        window = self.scenario.horizon.window_length
+        demands = np.empty(len(customers))
+        baselines_now = np.empty(len(customers))
         next_socs = list(socs)
-        for i, spec in enumerate(scenario.customers):
+        for i, spec in enumerate(customers):
             baseline_window = spec.baseline_load[t : t + window]
             customer_price = spec.reference_price if price is None else price
             baselines_now[i] = baseline_window[0]
@@ -179,10 +170,10 @@ class ResponseTable:
                     spec.elasticity,
                     spec.reference_price,
                 )
-        capacity_signal = float(self.window(scenario, t).exogenous[0])
-        adjusted = cooperative_adjustment(demands, baselines_now, cooperative, capacity_signal)
+        capacity_signal = float(self.window(t).exogenous[0])
+        adjusted = cooperative_adjustment(demands, baselines_now, self._cooperative, capacity_signal)
         adjusted.flags.writeable = False
-        response = responses[key] = (adjusted, float(adjusted.sum()), tuple(next_socs))
+        response = self._responses[key] = (adjusted, float(adjusted.sum()), tuple(next_socs))
         return response
 
 
@@ -192,12 +183,15 @@ class GridEnv:
 
     One instance is strictly sequential (battery state serializes steps).
     Instances given one ResponseTable share its memo and must run in one
-    thread; instances with private tables share nothing.
+    thread; instances with private tables share nothing. The table must be
+    the scenario's own.
     """
 
     def __init__(self, scenario: Scenario, *, responses: ResponseTable | None = None):
         self.scenario = scenario
-        self._table = responses if responses is not None else ResponseTable()
+        self._table = responses if responses is not None else ResponseTable(scenario)
+        if self._table.scenario is not scenario:
+            raise ValueError("responses is the ResponseTable of another scenario")
         self._t: int | None = None
         self._done = False
         self._soc: tuple[float | None, ...] = (None,) * len(scenario.customers)
@@ -217,15 +211,12 @@ class GridEnv:
         customers' response to their own reference prices; it does not move
         battery state.
         """
-        scenario = self.scenario
+        table = self._table
         self._t = 0
         self._done = False
-        self._soc = tuple(
-            spec.battery.soc if spec.kind == "storage" else None
-            for spec in scenario.customers
-        )
-        _, e_demand, _ = self._table.respond(scenario, 0, None, self._soc)
-        return with_demand(self._table.window(scenario, 0), e_demand)
+        self._soc = table.start_socs
+        _, e_demand, _ = table.respond(0, None, self._soc)
+        return with_demand(table.window(0), e_demand)
 
     def step(self, price: float) -> StepOutcome:
         """Broadcast a retail price, collect adjusted demand, advance time.
@@ -243,7 +234,7 @@ class GridEnv:
 
         scenario, table = self.scenario, self._table
         t = self._t
-        _, e_demand, self._soc = table.respond(scenario, t, price_value, self._soc)
+        _, e_demand, self._soc = table.respond(t, price_value, self._soc)
         self._t = t + 1
         self._done = self._t == scenario.episode_length
         # At the minimum trace length the terminal window cannot start at
@@ -251,9 +242,9 @@ class GridEnv:
         # never bootstrapped, so only their contents matter for logging.
         window_t = min(self._t, len(scenario.traces) - scenario.horizon.p - 1)
         return StepOutcome(
-            next_state=with_demand(table.window(scenario, window_t), e_demand),
+            next_state=with_demand(table.window(window_t), e_demand),
             e_demand=e_demand,
-            e_renewable=float(table.window(scenario, t).exogenous[0]),
+            e_renewable=float(table.window(t).exogenous[0]),
             price_sold=price_value,
             purchase_price=scenario.traces.purchase_price[t],
             done=self._done,

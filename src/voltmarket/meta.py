@@ -83,8 +83,8 @@ def adapt(
 
     The input parameters are never mutated; updates build fresh values.
     on_step is forwarded to learn_on_env. responses, if given, is the
-    ResponseTable shared with the caller's other envs; by default the env
-    keeps a private one.
+    scenario's ResponseTable, shared with the caller's other envs; by default
+    the env keeps a private one.
     """
     if k_steps < 1:
         raise ValueError(f"k_steps must be >= 1, got {k_steps}")
@@ -138,7 +138,7 @@ def meta_train(
     meta_lr. Stops at meta_iterations or when the rolling mean (window 3) of
     the per-iteration greedy evaluation return crosses the performance
     threshold, whichever fires first; the result records which one did.
-    Every env of the call shares one ResponseTable, which dies with the call.
+    Each pool scenario's envs share one ResponseTable, which dies with the call.
     """
     if not pool:
         raise ValueError("meta_train requires a non-empty scenario pool")
@@ -148,7 +148,7 @@ def meta_train(
         )
 
     task_rng = np.random.default_rng(seed)
-    responses = ResponseTable()
+    tables = [ResponseTable(s) for s in pool]
     params = init
     result = MetaResult(
         params=params,
@@ -173,7 +173,7 @@ def meta_train(
                 agent_seed=_adaptation_seed(seed, iteration, slot),
                 weights=weights,
                 r1_mode=r1_mode,
-                responses=responses,
+                responses=tables[task_index],
             )
             adapted_weights.append(adapted.weights)
 
@@ -186,7 +186,7 @@ def meta_train(
                 [
                     episode_return(
                         run_greedy_episode(
-                            pool[i], params, grid, weights, r1_mode, responses=responses
+                            pool[i], params, grid, weights, r1_mode, responses=tables[i]
                         )
                     )
                     for i in task_indices
@@ -269,8 +269,8 @@ def evaluate_adaptation(
     epsilon is constant and the RNG stream is the run's own, so the params
     after c of its steps are those of a separate c-step run. Step 0 is the
     init itself, evaluated once per scenario, and step k_steps is the
-    entry's return. Every env of the call shares one ResponseTable, which
-    dies with the call.
+    entry's return. Each held-out scenario's envs share one ResponseTable,
+    which dies when the next scenario starts.
     """
     if not heldout:
         raise ValueError("evaluate_adaptation requires held-out scenarios")
@@ -289,8 +289,7 @@ def evaluate_adaptation(
     per_scenario_meta: list[float] = []
     per_scenario_baseline: list[float] = []
 
-    responses = ResponseTable()
-
+    # Both use `responses`, the table the loop below makes per held-out scenario.
     def greedy_return(scenario: Scenario, params: PolicyParams) -> float:
         return episode_return(
             run_greedy_episode(scenario, params, grid, weights, r1_mode, responses=responses)
@@ -330,6 +329,7 @@ def evaluate_adaptation(
         return finals, curve.tolist()
 
     for idx, scenario in enumerate(heldout):
+        responses = ResponseTable(scenario)
         meta_returns, meta_curve = adapted_returns(meta_init, scenario)
         baseline_returns, baseline_curve = adapted_returns(baseline_init, scenario)
         for s, (meta_return, baseline_return) in enumerate(zip(meta_returns, baseline_returns)):

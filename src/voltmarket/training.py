@@ -272,8 +272,8 @@ def run_greedy_episode(
 ) -> EpisodeRecord:
     """Deterministic evaluation episode under the greedy policy.
 
-    responses, if given, is the ResponseTable shared with the caller's other
-    envs; by default the episode's env keeps a private one.
+    responses, if given, is the scenario's ResponseTable, shared with the
+    caller's other envs; by default the episode's env keeps a private one.
     """
 
     def choose(state):

@@ -177,6 +177,18 @@ def test_what_a_run_rejects_is_a_violation(overrides, fragments):
         assert fragment in text
 
 
+def test_quoted_numbers_are_violations():
+    data = minimal_config(
+        agent={"lr": "0.02"}, pool={"n_scenarios": "4"}, meta={"inner_steps": " 336 "}
+    )
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(data)
+    text = str(err.value)
+    assert "agent.lr: expected float, got '0.02'" in text
+    assert "pool.n_scenarios: expected int, got '4'" in text
+    assert "meta.inner_steps: expected int, got ' 336 '" in text
+
+
 def test_empty_sections_take_the_dataclass_defaults():
     data = minimal_config(pool={"n_scenarios": 4})
     data["agent"] = {}

@@ -468,6 +468,12 @@ class TestCooperativeAdjustment:
             cooperative_adjustment([3.0, 3.0], [2.0, 2.0], [True, False], math.nan)
 
 
+# An elastic customer with one range problem, in baseline_load.
+BAD_LOAD_ELASTIC = dict(
+    kind="elastic", cooperative=False, baseline_load=(-1.0,), reference_price=0.1, elasticity=-0.5
+)
+
+
 class TestSpecValidation:
     def test_storage_requires_battery(self):
         with pytest.raises(ValueError):
@@ -535,6 +541,70 @@ class TestSpecValidation:
             )
         problems = str(err.value).split("; ")
         assert [p.split()[0] for p in problems] == ["baseline_load", "reference_price"]
+
+    @pytest.mark.parametrize("load", ["12", b"12"], ids=["str", "bytes"])
+    def test_spec_names_a_string_baseline_among_the_others(self, load):
+        with pytest.raises(ValueError) as err:
+            CustomerSpec(
+                kind="elastic",
+                cooperative=False,
+                baseline_load=load,
+                reference_price=-1.0,
+                elasticity=-0.5,
+            )
+        problems = str(err.value).split("; ")
+        assert [p.split()[0] for p in problems] == ["baseline_load", "reference_price"]
+
+    @pytest.mark.parametrize(
+        "build, fields_named, message",
+        [
+            (
+                lambda: CustomerSpec(**{**BAD_LOAD_ELASTIC, "reference_price": "x"}),
+                ["baseline_load", "reference_price"],
+                "reference_price must be a number, got 'x'",
+            ),
+            (
+                lambda: CustomerSpec(**{**BAD_LOAD_ELASTIC, "peak_weight": "x"}),
+                ["baseline_load", "peak_weight"],
+                "peak_weight must be a number, got 'x'",
+            ),
+            (
+                lambda: CustomerSpec(**{**BAD_LOAD_ELASTIC, "elasticity": "x"}),
+                ["baseline_load", "elasticity"],
+                "elasticity must be a number, got 'x'",
+            ),
+            (
+                lambda: CustomerSpec(
+                    **{
+                        **BAD_LOAD_ELASTIC,
+                        "kind": "storage",
+                        "elasticity": None,
+                        "battery": make_battery(),
+                        "soc_levels": "3",
+                    }
+                ),
+                ["baseline_load", "soc_levels"],
+                "soc_levels must be an integer, got '3'",
+            ),
+            (
+                lambda: Battery("x", 1.0, 1.0, 2.0, 0.9, 0.5),
+                ["capacity", "charge_efficiency"],
+                "capacity must be a number, got 'x'",
+            ),
+            (
+                lambda: Battery(4.0, 0.0, 1.0, 0.9, 0.9, "x"),
+                ["max_charge_rate", "soc"],
+                "soc must be a number, got 'x'",
+            ),
+        ],
+        ids=["reference_price", "peak_weight", "elasticity", "soc_levels", "capacity", "soc"],
+    )
+    def test_non_numeric_field_is_named_among_the_others(self, build, fields_named, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        problems = str(err.value).split("; ")
+        assert [p.split()[0] for p in problems] == fields_named
+        assert message in problems
 
     def test_spec_skips_dependent_checks(self):
         # An unknown kind has no kind-specific checks, and a missing

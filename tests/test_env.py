@@ -194,7 +194,7 @@ class TestStep:
 
     def test_bookkeeping_conserved(self):
         scenario = small_scenario(episode_length=8, kinds=("elastic", "storage", "elastic"))
-        table = ResponseTable()
+        table = ResponseTable(scenario)
         env = GridEnv(scenario, responses=table)
         env.reset()
         rng = np.random.default_rng(0)
@@ -206,7 +206,7 @@ class TestStep:
             price = float(rng.choice([0.05, 0.15, 0.3]))
             outcome = env.step(price)
             total_demand += outcome.e_demand
-            total_draws += float(table.respond(scenario, t, price, soc)[0].sum())
+            total_draws += float(table.respond(t, price, soc)[0].sum())
         assert total_demand == total_draws
 
     def test_raising_price_does_not_raise_demand(self):
@@ -353,7 +353,7 @@ class TestResponseTable:
             spec.battery.capacity / 2.0 if spec.kind == "storage" else None
             for spec in scenario.customers
         )
-        table = ResponseTable()
+        table = ResponseTable(scenario)
         envs = [GridEnv(scenario, responses=table) for _ in range(2)]
         state = [None, None]  # per env: (t, SOCs) on the reference path
         rng = np.random.default_rng(5)
@@ -363,6 +363,10 @@ class TestResponseTable:
             env = envs[i]
             if state[i] is None or env.done or rng.random() < 0.1:
                 window = env.reset()
+                assert table.start_socs == initial_soc
+                assert [env.battery_soc(c) for c in range(len(initial_soc))] == list(
+                    table.start_socs
+                )
                 raw, demands, _ = reference_customer_response(
                     scenario, 0, None, initial_soc, self.renewable(scenario, 0)
                 )
@@ -397,7 +401,7 @@ class TestResponseTable:
             responses += 1
             congested += raw.tolist() != demands.tolist()
             misses = len(adjustments)
-            assert table.respond(scenario, *key)[0].tolist() == demands.tolist()
+            assert table.respond(*key)[0].tolist() == demands.tolist()
             assert len(adjustments) == misses  # the env's own response, a hit
             soc = state[i][1]
             assert [env.battery_soc(c) for c in range(len(soc))] == list(soc)
@@ -426,14 +430,14 @@ class TestResponseTable:
                 states.append(tuple(soc))
         prices = self.GRID_PRICES + (0.0, 0.1234, 0.4711, None)
         calls = [(t, price, soc) for t in (0, 2, 5) for price in prices for soc in states]
-        table = ResponseTable()
+        table = ResponseTable(scenario)
         expected = []
         partial = 0
         for t, price, soc in calls:
             raw, demands, next_soc = reference_customer_response(
                 scenario, t, price, soc, self.renewable(scenario, t)
             )
-            draws, total, got_soc = table.respond(scenario, t, price, soc)
+            draws, total, got_soc = table.respond(t, price, soc)
             assert draws.tolist() == demands.tolist()
             assert total == float(demands.sum())
             assert got_soc == next_soc
@@ -446,27 +450,27 @@ class TestResponseTable:
         assert len(adjustments) == len(calls)
         assert partial > 0
         for (t, price, soc), (demands, total, next_soc) in zip(calls, expected):
-            draws, got_total, got_soc = table.respond(scenario, t, price, soc)
+            draws, got_total, got_soc = table.respond(t, price, soc)
             assert (draws.tolist(), got_total, got_soc) == (demands, total, next_soc)
         assert len(adjustments) == len(calls)
 
     def test_respond_rejects_socs_that_do_not_fit_the_customers(self):
         scenario = self.congested_scenario()
-        table = ResponseTable()
+        table = ResponseTable(scenario)
         with pytest.raises(ValueError, match="3 SOCs given for 4 customers"):
-            table.respond(scenario, 0, 0.25, (2.0, None, 3.0))
+            table.respond(0, 0.25, (2.0, None, 3.0))
         with pytest.raises(ValueError, match="storage customer 2 needs a SOC"):
-            table.respond(scenario, 0, 0.25, (2.0, None, None, None))
+            table.respond(0, 0.25, (2.0, None, None, None))
 
     def test_respond_draws_are_read_only(self, adjustments):
         scenario = self.congested_scenario()
-        table = ResponseTable()
+        table = ResponseTable(scenario)
         env = GridEnv(scenario, responses=table)
         env.reset()
         soc = tuple(env.battery_soc(i) for i in range(len(scenario.customers)))
         env.step(0.25)
-        preview = table.respond(scenario, 0, None, soc)[0]
-        first = table.respond(scenario, 0, 0.25, soc)[0]
+        preview = table.respond(0, None, soc)[0]
+        first = table.respond(0, 0.25, soc)[0]
         expected = (preview.tolist(), first.tolist())
         for draws in (preview, first):
             with pytest.raises(ValueError):
@@ -477,24 +481,32 @@ class TestResponseTable:
         env.reset()
         env.step(0.25)
         again = (
-            table.respond(scenario, 0, None, soc)[0].tolist(),
-            table.respond(scenario, 0, 0.25, soc)[0].tolist(),
+            table.respond(0, None, soc)[0].tolist(),
+            table.respond(0, 0.25, soc)[0].tolist(),
         )
         assert again == expected
         assert len(adjustments) == misses
 
     def test_one_table_keeps_scenarios_apart(self):
+        # Two envs per scenario share that scenario's table; each steps as a
+        # private env of its scenario does.
         a = self.congested_scenario()
         b = self.congested_scenario(base_level=7.0)
-        table = ResponseTable()
-        shared = [GridEnv(s, responses=table) for s in (a, b)]
-        private = [GridEnv(s) for s in (a, b)]
+        tables = [ResponseTable(s) for s in (a, b)]
+        shared = [GridEnv(table.scenario, responses=table) for table in tables for _ in range(2)]
+        private = [GridEnv(s) for s in (a, a, b, b)]
         for env in shared + private:
             env.reset()
         for price in (0.15, 0.25, 0.15):
             got = [env.step(price).e_demand for env in shared]
             assert got == [env.step(price).e_demand for env in private]
-        assert got[0] != got[1]
+        assert got[0] != got[2]
+
+    def test_env_rejects_a_table_of_another_scenario(self):
+        a = self.congested_scenario()
+        b = self.congested_scenario(base_level=7.0)
+        with pytest.raises(ValueError, match="ResponseTable of another scenario"):
+            GridEnv(b, responses=ResponseTable(a))
 
 
 class TestWindowTemplates:
@@ -532,7 +544,7 @@ class TestWindowTemplates:
         rng = np.random.default_rng(8)
         n_raw = 8 * horizon.window_length
         scaling = FeatureScaling(mean=rng.normal(size=n_raw), scale=rng.uniform(0.5, 2.0, n_raw))
-        table = ResponseTable()
+        table = ResponseTable(scenario)
         envs = [GridEnv(scenario, responses=table) for _ in range(2)] + [GridEnv(scenario)]
         state = [None] * len(envs)  # per env: (t, SOCs) on the reference path
         handed_out = []  # every window an env returned, with its reference

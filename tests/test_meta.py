@@ -328,7 +328,7 @@ class TestResponseTableLifetime:
     def test_adapt_given_a_table_reuses_its_responses(self, solves):
         pool = micro_pool()
         init = make_init(pool)
-        table = ResponseTable()
+        table = ResponseTable(pool[0])
         a = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4, responses=table)
         before = len(solves)
         b = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4, responses=table)
