@@ -6,9 +6,7 @@ from .agent import (
     FeatureScaling,
     PolicyParams,
     PriceGrid,
-    PriceSignal,
     TrainingDivergedError,
-    Transition,
     clamp_price,
     featurize,
     n_features,

@@ -5,7 +5,7 @@ temporal-difference updates on linear action values."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,21 +19,19 @@ _BIAS = np.ones(1)
 
 
 class TrainingDivergedError(RuntimeError):
-    """A temporal-difference update produced a non-finite error signal."""
+    """A temporal-difference update produced a non-finite error or weight row."""
 
 
 @dataclass(frozen=True)
 class PriceGrid:
     """Sorted discrete price levels inside the allowed band [p_min, p_max].
 
-    A degenerate band (p_min == p_max) collapses to a single level. signals
-    holds the unclamped PriceSignal of each level, built once.
+    A degenerate band (p_min == p_max) collapses to a single level.
     """
 
     levels: tuple[float, ...]
     p_min: float
     p_max: float
-    signals: tuple[PriceSignal, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(float(x) for x in self.levels))
@@ -47,9 +45,6 @@ class PriceGrid:
             raise ValueError(f"p_min {self.p_min} exceeds lowest level {self.levels[0]}")
         if not self.levels[-1] <= self.p_max:
             raise ValueError(f"highest level {self.levels[-1]} exceeds p_max {self.p_max}")
-        object.__setattr__(
-            self, "signals", tuple(PriceSignal(p, i) for i, p in enumerate(self.levels))
-        )
 
     @property
     def k(self) -> int:
@@ -64,15 +59,6 @@ class PriceGrid:
         if k < 2:
             raise ValueError(f"a non-degenerate band needs k >= 2 levels, got {k}")
         return cls(levels=tuple(np.linspace(p_min, p_max, k)), p_min=p_min, p_max=p_max)
-
-
-@dataclass(frozen=True)
-class PriceSignal:
-    """The scalar retail price action, with its grid index and clamp flag."""
-
-    price: float
-    level_index: int
-    clamped: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +115,6 @@ class PolicyParams:
         return self.weights.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class Transition:
-    features: np.ndarray
-    action_index: int
-    reward: float
-    next_features: np.ndarray
-    done: bool
-
-
 def window_channels(window: StateWindow) -> np.ndarray:
     """Flatten the observation window channel by channel (no scaling, no bias)."""
     return np.concatenate((window.demand, window.exogenous))
@@ -172,12 +149,11 @@ def select_action(
     epsilon: float,
     grid: PriceGrid,
     rng: np.random.Generator | None = None,
-) -> PriceSignal:
-    """Epsilon-greedy pick from the price grid; greedy ties go to the lowest index.
+) -> int:
+    """Epsilon-greedy pick of a level index; greedy ties go to the lowest index.
 
-    Grid prices are inside [p_min, p_max] by construction, so the signal is
-    the grid's own unclamped signal of the level. epsilon = 0 consumes no
-    randomness.
+    The price is grid.levels[index], inside [p_min, p_max] by construction.
+    epsilon = 0 consumes no randomness.
     """
     if grid.k != params.k:
         raise ValueError(f"grid has {grid.k} levels but params expect {params.k}")
@@ -187,8 +163,8 @@ def select_action(
         if rng is None:
             raise ValueError("exploration (epsilon > 0) requires an rng")
         if rng.random() < epsilon:
-            return grid.signals[int(rng.integers(grid.k))]
-    return grid.signals[int(q_values(params, features).argmax())]
+            return int(rng.integers(grid.k))
+    return int(q_values(params, features).argmax())
 
 
 def clamp_price(price: float, grid: PriceGrid) -> tuple[float, bool]:
@@ -198,30 +174,40 @@ def clamp_price(price: float, grid: PriceGrid) -> tuple[float, bool]:
 
 
 def td_update(
-    params: PolicyParams, transition: Transition, lr: float, gamma: float
-) -> PolicyParams:
-    """One-step Q-learning update; touches exactly the acted row.
+    weights: np.ndarray,
+    features: np.ndarray,
+    action_index: int,
+    reward: float,
+    next_features: np.ndarray,
+    done: bool,
+    lr: float,
+    gamma: float,
+) -> None:
+    """One-step Q-learning update of the acted row of weights, in place.
 
-    Raises TrainingDivergedError with diagnostics when the TD error turns
-    non-finite, rather than silently corrupting the weights.
+    Raises TrainingDivergedError with diagnostics when the TD error or the
+    updated row turns non-finite, rather than silently corrupting the weights.
     """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    q_s = q_values(params, transition.features)
+    q_s = weights @ features
     bootstrap = 0.0
-    if not transition.done:
-        bootstrap = gamma * float(q_values(params, transition.next_features).max())
-    delta = transition.reward + bootstrap - float(q_s[transition.action_index])
+    if not done:
+        bootstrap = gamma * float((weights @ next_features).max())
+    delta = reward + bootstrap - float(q_s[action_index])
     if not math.isfinite(delta):
         raise TrainingDivergedError(
-            f"non-finite TD error {delta!r} (reward={transition.reward!r}, "
-            f"bootstrap={bootstrap!r}, max|w|={np.max(np.abs(params.weights)):.3e})"
+            f"non-finite TD error {delta!r} (reward={reward!r}, "
+            f"bootstrap={bootstrap!r}, max|w|={np.max(np.abs(weights)):.3e})"
         )
-    weights = params.weights.copy()
-    weights[transition.action_index] += lr * delta * transition.features
-    return PolicyParams(weights=weights, scaling=params.scaling)
+    row = weights[action_index]
+    row += lr * delta * features
+    if not np.isfinite(row).all():
+        raise TrainingDivergedError(
+            f"non-finite weights in row {action_index} after a TD error of {delta!r}"
+        )
 
 
 def zeros_params(k: int, scaling: FeatureScaling) -> PolicyParams:

@@ -94,6 +94,8 @@ class CustomerSpec:
         problems = []
         if self.kind not in CUSTOMER_KINDS:
             problems.append(f"kind must be one of {CUSTOMER_KINDS}, got {self.kind!r}")
+        if not isinstance(self.cooperative, bool):
+            problems.append(f"cooperative must be a bool, got {self.cooperative!r}")
         load = self.baseline_load
         # A string is iterable too, but its characters are not loads.
         sequence = isinstance(load, Iterable) and not isinstance(load, (str, bytes))
@@ -116,6 +118,8 @@ class CustomerSpec:
                 "peak_weight": (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
             },
         )
+        if not (self.battery is None or isinstance(self.battery, Battery)):
+            problems.append(f"battery must be a Battery or None, got {self.battery!r}")
         if self.kind == "storage":
             if self.battery is None:
                 problems.append("storage customer requires a battery")

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,16 @@ def read_episode_csv(path: str | os.PathLike) -> EpisodeRecord:
     return record
 
 
+def _battery_from_dict(index: int, doc: dict) -> Battery:
+    """Battery(**doc), after checking doc's keys against Battery's fields."""
+    names = [f.name for f in fields(Battery)]
+    problems = [f"unknown key {k!r}" for k in doc if k not in names]
+    problems += [f"missing key {k!r}" for k in names if k not in doc]
+    if problems:
+        raise ValueError(f"customer {index} battery: " + "; ".join(problems))
+    return Battery(**doc)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     traces = ScenarioTraces(
         weather=tuple(
@@ -244,8 +255,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         wind_capacity_kw=doc["traces"]["wind_capacity_kw"],
     )
     customers = []
-    for c in doc["customers"]:
-        battery = Battery(**c["battery"]) if c.get("battery") else None
+    for i, c in enumerate(doc["customers"]):
+        battery = _battery_from_dict(i, c["battery"]) if c.get("battery") else None
         customers.append(
             CustomerSpec(
                 kind=c["kind"],

@@ -81,7 +81,7 @@ def adapt(
 ) -> PolicyParams:
     """Run k_steps of Q-learning at a constant epsilon from init on one scenario.
 
-    The input parameters are never mutated; updates build fresh values.
+    The input parameters are never mutated: the run works on its own copy.
     on_step is forwarded to learn_on_env. responses, if given, is the
     scenario's ResponseTable, shared with the caller's other envs; by default
     the env keeps a private one.

@@ -14,7 +14,6 @@ from .agent import (
     FeatureScaling,
     PolicyParams,
     PriceGrid,
-    Transition,
     clamp_price,
     featurize,
     select_action,
@@ -137,6 +136,16 @@ def warmup_scaling(scenario: Scenario, grid: PriceGrid, steps: int, seed: int) -
     return scaling_from_features(collect_rollout_features(scenario, grid, steps, seed))
 
 
+def _step_and_reward(env: GridEnv, price: float, weights: RewardWeights, r1_mode: str):
+    """Advance env at price; return the StepOutcome and its RewardBreakdown."""
+    outcome = env.step(price)
+    reward = breakdown(
+        outcome.price_sold, outcome.purchase_price, outcome.e_renewable, outcome.e_demand,
+        weights, r1_mode,
+    )
+    return outcome, reward
+
+
 def learn_on_env(
     env: GridEnv,
     params: PolicyParams,
@@ -153,33 +162,25 @@ def learn_on_env(
     """Run a fixed number of epsilon-greedy Q-learning steps on one env.
 
     Episodes reset automatically; returns the updated params and the return
-    of each completed episode. If given, on_step(steps_done, params) is
-    called after every update with the params reached so far; nothing is
-    kept unless the callback keeps it.
+    of each completed episode. The run updates its own copy of params'
+    weights in place; params is left untouched. If given, on_step(steps_done,
+    params) is called after every update with a copy of the params reached
+    so far; nothing is kept unless the callback keeps it.
     """
+    # PolicyParams wraps the float64 array without copying it, so select_action
+    # reads the weights that td_update writes.
+    params = PolicyParams(weights=params.weights.copy(), scaling=params.scaling)
+    w = params.weights
     episode_returns: list[float] = []
     features = featurize(env.reset(), params.scaling)
     ep_return = 0.0
     for step in range(steps):
-        signal = select_action(params, features, epsilon.value(step), grid, rng)
-        outcome = env.step(signal.price)
-        reward = breakdown(
-            outcome.price_sold,
-            outcome.purchase_price,
-            outcome.e_renewable,
-            outcome.e_demand,
-            weights,
-            r1_mode,
-        )
+        a = select_action(params, features, epsilon.value(step), grid, rng)
+        outcome, reward = _step_and_reward(env, grid.levels[a], weights, r1_mode)
         next_features = featurize(outcome.next_state, params.scaling)
-        params = td_update(
-            params,
-            Transition(features, signal.level_index, reward.total, next_features, outcome.done),
-            lr,
-            gamma,
-        )
+        td_update(w, features, a, reward.total, next_features, outcome.done, lr, gamma)
         if on_step is not None:
-            on_step(step + 1, params)
+            on_step(step + 1, PolicyParams(weights=w.copy(), scaling=params.scaling))
         ep_return += reward.total
         if outcome.done:
             episode_returns.append(ep_return)
@@ -235,16 +236,7 @@ def _rollout(
     state = env.reset()
     record = EpisodeRecord()
     for t in range(scenario.episode_length):
-        price = price_for_state(state)
-        outcome = env.step(price)
-        reward = breakdown(
-            outcome.price_sold,
-            outcome.purchase_price,
-            outcome.e_renewable,
-            outcome.e_demand,
-            weights,
-            r1_mode,
-        )
+        outcome, reward = _step_and_reward(env, price_for_state(state), weights, r1_mode)
         record.steps.append(
             EpisodeStep(
                 t=t,
@@ -277,7 +269,7 @@ def run_greedy_episode(
     """
 
     def choose(state):
-        return select_action(params, featurize(state, params.scaling), 0.0, grid).price
+        return grid.levels[select_action(params, featurize(state, params.scaling), 0.0, grid)]
 
     return _rollout(scenario, choose, weights, r1_mode, responses)
 

@@ -11,16 +11,22 @@ import numpy as np
 from voltmarket import (
     Battery,
     CustomerSpec,
+    GridEnv,
     Horizon,
+    PolicyParams,
+    PriceGrid,
+    RewardWeights,
     Scenario,
     ScenarioTraces,
     TemporalFeatures,
     TraceRangeError,
     WeatherSample,
+    breakdown,
     cooperative_adjustment,
     customer_cost,
     elastic_demand,
     encode_temporal,
+    featurize,
     renewable_generation,
     storage_demand,
 )
@@ -426,3 +432,68 @@ def reference_window_channels(window) -> np.ndarray:
     return np.concatenate(
         [window.demand, window.renewable, window.purchase_price, temps, irr, wind, hsin, hcos]
     )
+
+
+def reference_td_update(
+    params: PolicyParams,
+    features: np.ndarray,
+    action_index: int,
+    reward: float,
+    next_features: np.ndarray,
+    done: bool,
+    lr: float,
+    gamma: float,
+) -> PolicyParams:
+    """Copy-based one-step Q-learning update: a fresh PolicyParams whose acted
+    row moved; params is untouched."""
+    q_s = params.weights @ features
+    bootstrap = 0.0
+    if not done:
+        bootstrap = gamma * float((params.weights @ next_features).max())
+    delta = reward + bootstrap - float(q_s[action_index])
+    weights = params.weights.copy()
+    weights[action_index] += lr * delta * features
+    return PolicyParams(weights=weights, scaling=params.scaling)
+
+
+def reference_learn_on_env(
+    env: GridEnv,
+    params: PolicyParams,
+    grid: PriceGrid,
+    steps: int,
+    lr: float,
+    gamma: float,
+    epsilon,
+    rng: np.random.Generator,
+    weights: RewardWeights = RewardWeights(),
+    r1_mode: str = "price_diff",
+) -> tuple[PolicyParams, list[float], dict[int, PolicyParams]]:
+    """The epsilon-greedy Q-learning loop on reference_td_update: the final
+    params, each completed episode's return, and the params after every step."""
+    returns: list[float] = []
+    snapshots: dict[int, PolicyParams] = {}
+    features = featurize(env.reset(), params.scaling)
+    ep_return = 0.0
+    for step in range(steps):
+        eps = epsilon.value(step)
+        if eps > 0.0 and rng.random() < eps:
+            a = int(rng.integers(grid.k))
+        else:
+            a = int((params.weights @ features).argmax())
+        outcome = env.step(grid.levels[a])
+        reward = breakdown(
+            outcome.price_sold, outcome.purchase_price, outcome.e_renewable, outcome.e_demand,
+            weights, r1_mode,
+        ).total
+        next_features = featurize(outcome.next_state, params.scaling)
+        params = reference_td_update(
+            params, features, a, reward, next_features, outcome.done, lr, gamma
+        )
+        snapshots[step + 1] = params
+        ep_return += reward
+        if outcome.done:
+            returns.append(ep_return)
+            ep_return = 0.0
+            next_features = featurize(env.reset(), params.scaling)
+        features = next_features
+    return params, returns, snapshots

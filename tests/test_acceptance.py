@@ -20,7 +20,6 @@ from voltmarket import (
     PriceGrid,
     RewardWeights,
     TrainConfig,
-    Transition,
     ViolationLog,
     alignment_metrics,
     build_scenario_pool,
@@ -157,9 +156,13 @@ def test_criterion_3_td_correctness():
                     features[s] = 1.0
                     nxt = np.zeros(3)
                     nxt[transitions[s, a]] = 1.0
-                    params = td_update(
-                        params,
-                        Transition(features, a, float(rewards[s, a]), nxt, False),
+                    td_update(
+                        params.weights,
+                        features,
+                        a,
+                        float(rewards[s, a]),
+                        nxt,
+                        False,
                         lr=1.0,
                         gamma=gamma,
                     )
@@ -266,21 +269,18 @@ def test_criterion_6_safety_accounting():
         from voltmarket import breakdown
 
         for step in range(5 * scenario.episode_length):
-            signal = select_action(params, features, epsilon.value(step), grid, rng)
-            assert signal.clamped is False
-            clamped, violated = clamp_price(signal.price, grid)
+            a = select_action(params, features, epsilon.value(step), grid, rng)
+            price = grid.levels[a]
+            clamped, violated = clamp_price(price, grid)
             if violated:
-                log.record(env.t, signal.price, clamped)
-            outcome = env.step(signal.price)
+                log.record(env.t, price, clamped)
+            outcome = env.step(price)
             reward = breakdown(
                 outcome.price_sold, outcome.purchase_price, outcome.e_renewable, outcome.e_demand
             )
             next_features = featurize(outcome.next_state, scaling)
-            params = td_update(
-                params,
-                Transition(features, signal.level_index, reward.total, next_features, outcome.done),
-                0.02,
-                0.3,
+            td_update(
+                params.weights, features, a, reward.total, next_features, outcome.done, 0.02, 0.3
             )
             features = featurize(env.reset(), scaling) if outcome.done else next_features
         assert len(log) == 0

@@ -8,8 +8,7 @@ from voltmarket import (
     Horizon,
     PolicyParams,
     PriceGrid,
-    PriceSignal,
-    Transition,
+    TrainingDivergedError,
     clamp_price,
     featurize,
     n_features,
@@ -118,7 +117,7 @@ class TestSelectAction:
         counts = np.zeros(5)
         n = 10_000
         for _ in range(n):
-            counts[select_action(params, np.array([0.0, 0.0, 1.0]), 1.0, grid, rng).level_index] += 1
+            counts[select_action(params, np.array([0.0, 0.0, 1.0]), 1.0, grid, rng)] += 1
         expected = n / 5
         sigma = np.sqrt(n * 0.2 * 0.8)
         assert np.all(np.abs(counts - expected) < 3 * sigma)
@@ -128,17 +127,14 @@ class TestSelectAction:
         params = PolicyParams(
             weights=np.array([[1.0], [3.0], [2.0]]), scaling=FeatureScaling.identity(0)
         )
-        signal = select_action(params, np.array([1.0]), 0.0, grid)
-        assert signal.level_index == 1
-        assert signal.price == grid.levels[1]
-        assert signal.clamped is False
+        assert select_action(params, np.array([1.0]), 0.0, grid) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         grid = PriceGrid.uniform(0.1, 0.3, 3)
         params = PolicyParams(
             weights=np.array([[5.0], [5.0], [1.0]]), scaling=FeatureScaling.identity(0)
         )
-        assert select_action(params, np.array([1.0]), 0.0, grid).level_index == 0
+        assert select_action(params, np.array([1.0]), 0.0, grid) == 0
 
     def test_greedy_invariant_under_positive_affine_q_transform(self):
         rng = np.random.default_rng(9)
@@ -152,14 +148,14 @@ class TestSelectAction:
             transformed[:, -1] += b  # shifts every Q by b via the bias feature
             params2 = PolicyParams(weights=transformed, scaling=params.scaling)
             assert (
-                select_action(params, features, 0.0, grid).level_index
-                == select_action(params2, features, 0.0, grid).level_index
+                select_action(params, features, 0.0, grid)
+                == select_action(params2, features, 0.0, grid)
             )
 
     def test_epsilon_zero_is_deterministic_without_rng(self):
         grid = PriceGrid.uniform(0.1, 0.3, 3)
         params = identity_params(3, 0)
-        assert select_action(params, np.array([1.0]), 0.0, grid).level_index == 0
+        assert select_action(params, np.array([1.0]), 0.0, grid) == 0
 
     @pytest.mark.parametrize("epsilon", [float("nan"), -0.5, -1e-12, 1.5, float("inf")])
     def test_rejects_bad_epsilon_by_name(self, epsilon):
@@ -169,8 +165,8 @@ class TestSelectAction:
             select_action(params, np.array([1.0]), epsilon, grid, np.random.default_rng(0))
 
     def test_signals_and_draw_order_match_a_fresh_pick(self):
-        # Each pick is the level's unclamped signal, and the generator moves
-        # as before: random(), then integers(k) only when exploring.
+        # Each pick is a plain int level index, and the generator moves as
+        # before: random(), then integers(k) only when exploring.
         grid = PriceGrid.uniform(0.05, 0.45, 7)
         weights = np.random.default_rng(1).normal(size=(7, 4))
         params = PolicyParams(weights=weights, scaling=FeatureScaling.identity(3))
@@ -179,11 +175,11 @@ class TestSelectAction:
         branches = set()
         for _ in range(1000):
             features = np.append(features_rng.normal(size=3), 1.0)
-            signal = select_action(params, features, 0.4, grid, rng)
+            pick = select_action(params, features, 0.4, grid, rng)
             explore = twin.random() < 0.4
             branches.add(explore)
             idx = int(twin.integers(grid.k)) if explore else int((weights @ features).argmax())
-            assert signal == PriceSignal(grid.levels[idx], idx, False)
+            assert type(pick) is int and pick == idx
         assert branches == {True, False}
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -213,47 +209,53 @@ class TestClampPrice:
 
 class TestTdUpdate:
     def _transition(self, n=3, reward=1.0, done=False):
+        """(features, action_index, reward, next_features, done)."""
         features = np.zeros(n + 1)
         features[0] = 1.0
         features[-1] = 1.0
         nxt = np.zeros(n + 1)
         nxt[1] = 1.0
         nxt[-1] = 1.0
-        return Transition(features, 0, reward, nxt, done)
+        return features, 0, reward, nxt, done
 
     def test_zero_lr_is_identity(self):
-        params = identity_params(2, 3)
-        updated = td_update(params, self._transition(), 0.0, 0.9)
-        assert updated.weights.tolist() == params.weights.tolist()
+        weights = np.zeros((2, 4))
+        td_update(weights, *self._transition(), 0.0, 0.9)
+        assert weights.tolist() == np.zeros((2, 4)).tolist()
 
     def test_terminal_ignores_bootstrap(self):
         rng = np.random.default_rng(3)
-        params = PolicyParams(weights=rng.normal(size=(2, 4)), scaling=FeatureScaling.identity(3))
+        weights = rng.normal(size=(2, 4))
+        before = weights.copy()
         tr = self._transition(reward=2.0, done=True)
-        updated = td_update(params, tr, 0.5, 0.9)
-        delta = 2.0 - float(params.weights[0] @ tr.features)
-        expected = params.weights[0] + 0.5 * delta * tr.features
-        assert updated.weights[0].tolist() == pytest.approx(expected.tolist(), abs=1e-15)
+        td_update(weights, *tr, 0.5, 0.9)
+        delta = 2.0 - float(before[0] @ tr[0])
+        expected = before[0] + 0.5 * delta * tr[0]
+        assert weights[0].tolist() == pytest.approx(expected.tolist(), abs=1e-15)
 
     def test_touches_exactly_one_row(self):
         rng = np.random.default_rng(4)
-        params = PolicyParams(weights=rng.normal(size=(3, 4)), scaling=FeatureScaling.identity(3))
-        updated = td_update(params, self._transition(reward=5.0), 0.1, 0.9)
-        assert updated.weights[1].tolist() == params.weights[1].tolist()
-        assert updated.weights[2].tolist() == params.weights[2].tolist()
-        assert updated.weights[0].tolist() != params.weights[0].tolist()
-
-    def test_input_params_not_mutated(self):
-        params = identity_params(2, 3)
-        before = params.weights.copy()
-        td_update(params, self._transition(), 0.5, 0.9)
-        assert params.weights.tolist() == before.tolist()
+        weights = rng.normal(size=(3, 4))
+        before = weights.copy()
+        td_update(weights, *self._transition(reward=5.0), 0.1, 0.9)
+        assert weights[1].tolist() == before[1].tolist()
+        assert weights[2].tolist() == before[2].tolist()
+        assert weights[0].tolist() != before[0].tolist()
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), -0.1])
     def test_rejects_bad_lr_by_name(self, lr):
-        params = identity_params(2, 3)
+        weights = np.zeros((2, 4))
         with pytest.raises(ValueError, match="lr"):
-            td_update(params, self._transition(), lr, 0.9)
+            td_update(weights, *self._transition(), lr, 0.9)
+
+    def test_overflowing_row_raises_training_diverged(self):
+        # The TD error is finite (1e300), but lr * delta * features is not.
+        weights = np.zeros((2, 4))
+        features, a, _, nxt, _ = self._transition()
+        features[0] = 1e10
+        td_update(weights, features, a, 1.0, nxt, True, 0.5, 0.9)
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError, match="row 0"):
+            td_update(weights, features, a, 1e300, nxt, True, 1.0, 0.9)
 
 
 def value_iteration(rewards, transitions, gamma, sweeps=500):
@@ -288,9 +290,13 @@ class TestTabularLimit:
                     features[s] = 1.0
                     nxt = np.zeros(3)
                     nxt[self.transitions[s, a]] = 1.0
-                    params = td_update(
-                        params,
-                        Transition(features, a, float(self.rewards[s, a]), nxt, False),
+                    td_update(
+                        params.weights,
+                        features,
+                        a,
+                        float(self.rewards[s, a]),
+                        nxt,
+                        False,
                         1.0,
                         self.gamma,
                     )

@@ -606,6 +606,28 @@ class TestSpecValidation:
         assert [p.split()[0] for p in problems] == fields_named
         assert message in problems
 
+    def test_non_bool_cooperative_is_named_among_the_others(self):
+        # A truthy string would otherwise put the customer in the
+        # cooperative adjustment.
+        with pytest.raises(ValueError) as err:
+            CustomerSpec(**{**BAD_LOAD_ELASTIC, "cooperative": "false"})
+        problems = str(err.value).split("; ")
+        assert [p.split()[0] for p in problems] == ["cooperative", "baseline_load"]
+        assert "cooperative must be a bool, got 'false'" in problems
+
+    def test_non_battery_is_named_among_the_others(self):
+        with pytest.raises(ValueError) as err:
+            CustomerSpec(
+                kind="storage",
+                cooperative=False,
+                baseline_load=(-1.0,),
+                reference_price=0.1,
+                battery={"capacity": 4.0},
+            )
+        problems = str(err.value).split("; ")
+        assert [p.split()[0] for p in problems] == ["baseline_load", "battery"]
+        assert "battery must be a Battery or None, got {'capacity': 4.0}" in problems
+
     def test_spec_skips_dependent_checks(self):
         # An unknown kind has no kind-specific checks, and a missing
         # elasticity has no sign to check.

@@ -21,6 +21,7 @@ from voltmarket.io import (
 )
 from voltmarket.pool import PoolConfig, build_scenario_pool, synth_traces
 
+from .helpers import small_scenario
 from .test_telemetry import make_record
 
 GOOD_CSV = """timestamp_min,temperature_c,solar_irradiance,wind_speed_ms,purchase_price
@@ -206,6 +207,20 @@ class TestScenarioSerialization:
         for scenario in pool:
             assert {c.kind for c in scenario.customers} == {"storage", "elastic"}
             assert scenario_from_dict(json.loads(json.dumps(asdict(scenario)))) == scenario
+
+
+    def test_misspelled_battery_key_names_the_customer_and_every_key(self):
+        doc = json.loads(json.dumps(asdict(small_scenario(kinds=("elastic", "storage")))))
+        battery = doc["customers"][1]["battery"]
+        battery["socc"] = battery.pop("soc")
+        del battery["capacity"]
+        battery["size"] = 4.0
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == (
+            "customer 1 battery: unknown key 'socc'; unknown key 'size'; "
+            "missing key 'capacity'; missing key 'soc'"
+        )
 
 
 class TestArtifactWriter:

@@ -3,19 +3,22 @@ import pytest
 
 import voltmarket.env
 from voltmarket import (
+    EpsilonSchedule,
+    GridEnv,
     MetaConfig,
     PriceGrid,
     ResponseTable,
     adapt,
     evaluate_adaptation,
     meta_train,
+    random_params,
     warmup_scaling,
     zeros_params,
 )
 from voltmarket.meta import STOP_META_ITERATIONS, STOP_PERFORMANCE_THRESHOLD, _adaptation_seed
 from voltmarket.training import episode_return, run_greedy_episode
 
-from .helpers import small_scenario
+from .helpers import reference_learn_on_env, small_scenario
 
 
 def micro_pool(n=2, episode_length=6):
@@ -45,6 +48,27 @@ class TestAdapt:
         before = init.weights.copy()
         adapt(init, pool[0], 10, 0.05, 0.5, 0.1, GRID, agent_seed=1)
         assert init.weights.tolist() == before.tolist()
+
+    def test_snapshots_are_bit_equal_to_the_copy_based_reference(self):
+        # Every on_step snapshot is a copy of the weights reached at that
+        # step, equal to a loop that builds fresh params after every update.
+        pool = micro_pool(episode_length=8)
+        scaling = make_init(pool).scaling
+        init = random_params(GRID.k, scaling, np.random.default_rng(6))
+        snapshots = {}
+        adapted = adapt(
+            init, pool[1], 30, 0.05, 0.5, 0.2, GRID, agent_seed=9,
+            on_step=lambda step, params: snapshots.setdefault(step, params),
+        )
+        expected, _, expected_snapshots = reference_learn_on_env(
+            GridEnv(pool[1]), init, GRID, 30, 0.05, 0.5, EpsilonSchedule.constant(0.2),
+            np.random.default_rng(9),
+        )
+        assert adapted.weights.tolist() == expected.weights.tolist()
+        assert sorted(snapshots) == list(range(1, 31))
+        assert [snapshots[k].weights.tolist() for k in sorted(snapshots)] == [
+            expected_snapshots[k].weights.tolist() for k in sorted(snapshots)
+        ]
 
     def test_deterministic(self):
         pool = micro_pool()

@@ -3,10 +3,12 @@ import pytest
 
 from voltmarket import (
     EpsilonSchedule,
+    GridEnv,
     PriceGrid,
     TrainConfig,
     episode_return,
     evaluate_price_sequence,
+    random_params,
     run_fixed_price_episode,
     run_greedy_episode,
     summarize_violations,
@@ -15,9 +17,9 @@ from voltmarket import (
     warmup_scaling,
     zeros_params,
 )
-from voltmarket.training import collect_rollout_features, scaling_from_features
+from voltmarket.training import collect_rollout_features, learn_on_env, scaling_from_features
 
-from .helpers import small_scenario
+from .helpers import reference_learn_on_env, small_scenario
 
 
 class TestEpsilonSchedule:
@@ -112,6 +114,43 @@ class TestTrainPolicy:
         b = train_policy(scenario, grid, config, seed=5)
         assert a.params.weights.tolist() == b.params.weights.tolist()
         assert a.episode_returns == b.episode_returns
+
+
+class TestLearnOnEnv:
+    def test_input_params_not_mutated(self):
+        scenario = small_scenario(episode_length=8)
+        grid = PriceGrid.uniform(0.05, 0.45, 5)
+        scaling = warmup_scaling(scenario, grid, 20, seed=0)
+        params = random_params(grid.k, scaling, np.random.default_rng(1))
+        before = params.weights.copy()
+        learned, _ = learn_on_env(
+            GridEnv(scenario), params, grid, 20, 0.05, 0.5, EpsilonSchedule.constant(0.2),
+            np.random.default_rng(2),
+        )
+        assert params.weights.tolist() == before.tolist()
+        assert learned.weights.tolist() != before.tolist()
+
+    def test_train_policy_is_bit_equal_to_the_copy_based_reference(self):
+        # The in-place run must pick, step and update exactly as a loop that
+        # builds fresh params after every update.
+        scenario = small_scenario(episode_length=8)
+        grid = PriceGrid.uniform(0.05, 0.45, 5)
+        config = TrainConfig(episodes=6, lr=0.05, warmup_steps=20)
+        result = train_policy(scenario, grid, config, seed=3)
+
+        total_steps = config.episodes * scenario.episode_length
+        expected, returns, _ = reference_learn_on_env(
+            GridEnv(scenario),
+            zeros_params(grid.k, warmup_scaling(scenario, grid, config.warmup_steps, seed=3)),
+            grid,
+            total_steps,
+            config.lr,
+            config.gamma,
+            EpsilonSchedule(config.epsilon_start, config.epsilon_end, int(0.7 * total_steps)),
+            np.random.default_rng(3),
+        )
+        assert result.params.weights.tolist() == expected.weights.tolist()
+        assert result.episode_returns == returns
 
 
 class TestEvaluation:
