@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     except (TraceFormatError, PoolConfigError, ScenarioValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (PolicyFileError, ValueError, RuntimeError) as exc:
+    except (PolicyFileError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

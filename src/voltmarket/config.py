@@ -211,7 +211,11 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     if not path.exists():
         raise ConfigValidationError([f"config file not found: {path}"])
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigValidationError([f"cannot read config {path}: {exc}"]) from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigValidationError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(data, dict):

@@ -53,7 +53,11 @@ def ingest_traces(
         raise TraceFormatError(f"trace file not found: {path}")
     weather: list[WeatherSample] = []
     prices: list[float] = []
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as exc:
+        raise TraceFormatError(f"{path}: cannot read trace file: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -169,7 +173,11 @@ def load_policy(path: str | os.PathLike) -> tuple[PolicyParams, PriceGrid, Horiz
     if not path.exists():
         raise PolicyFileError(f"policy file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PolicyFileError(f"{path}: cannot read policy file: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PolicyFileError(f"{path}: corrupt policy file: {exc}") from exc
     if not isinstance(doc, dict):
@@ -304,29 +312,27 @@ class ArtifactWriter:
         return self.root / rel
 
     def _track(self, rel: str) -> Path:
+        """Record rel as written; called once its file has been written."""
         if rel not in self.written:
             self.written.append(rel)
-        full = self.root / rel
-        full.parent.mkdir(parents=True, exist_ok=True)
-        return full
+        return self.path(rel)
 
     def write_json(self, rel: str, obj) -> Path:
-        full = self._track(rel)
-        dump_json(obj, full)
-        return full
+        dump_json(obj, self.path(rel))
+        return self._track(rel)
 
     def write_episode_csv(self, rel: str, record: EpisodeRecord) -> Path:
-        full = self._track(rel)
-        write_episode_csv(record, full)
-        return full
+        write_episode_csv(record, self.path(rel))
+        return self._track(rel)
 
     def write_csv(self, rel: str, header, rows) -> Path:
-        full = self._track(rel)
+        full = self.path(rel)
+        full.parent.mkdir(parents=True, exist_ok=True)
         with full.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-        return full
+        return self._track(rel)
 
     def inventory(self) -> dict[str, str]:
         files = {}

@@ -5,7 +5,7 @@ sample-efficiency comparison against a non-meta initialization."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Collection
 
 import numpy as np
 
@@ -64,6 +64,19 @@ def _adaptation_seed(base_seed: int, *streams: int) -> int:
     return int(np.random.SeedSequence((base_seed, *streams)).generate_state(1)[0])
 
 
+def _greedy_return(
+    responses: ResponseTable,
+    params: PolicyParams,
+    grid: PriceGrid,
+    weights: RewardWeights,
+    r1_mode: str,
+) -> float:
+    """The greedy episode return of params on the table's scenario."""
+    return episode_return(
+        run_greedy_episode(responses.scenario, params, grid, weights, r1_mode, responses=responses)
+    )
+
+
 def adapt(
     init: PolicyParams,
     scenario: Scenario,
@@ -75,35 +88,34 @@ def adapt(
     agent_seed: int = 0,
     weights: RewardWeights = RewardWeights(),
     r1_mode: str = "price_diff",
-    on_step: Callable[[int, PolicyParams], None] | None = None,
+    checkpoints: Collection[int] = (),
     *,
     responses: ResponseTable | None = None,
-) -> PolicyParams:
+) -> tuple[PolicyParams, dict[int, PolicyParams]]:
     """Run k_steps of Q-learning at a constant epsilon from init on one scenario.
 
-    The input parameters are never mutated: the run works on its own copy.
-    on_step is forwarded to learn_on_env. responses, if given, is the
-    scenario's ResponseTable, shared with the caller's other envs; by default
-    the env keeps a private one.
+    Returns the adapted params and a copy of the params after c steps for
+    each c in checkpoints, keyed by c (see learn_on_env). The input
+    parameters are never mutated: the run works on its own copy. responses,
+    if given, is the scenario's ResponseTable, shared with the caller's other
+    envs; by default the env keeps a private one.
     """
     if k_steps < 1:
         raise ValueError(f"k_steps must be >= 1, got {k_steps}")
-    env = GridEnv(scenario, responses=responses)
-    rng = np.random.default_rng(agent_seed)
-    adapted, _ = learn_on_env(
-        env,
+    adapted, _, snapshots = learn_on_env(
+        GridEnv(scenario, responses=responses),
         init,
         grid,
         k_steps,
         inner_lr,
         gamma,
         EpsilonSchedule.constant(epsilon),
-        rng,
+        np.random.default_rng(agent_seed),
         weights,
         r1_mode,
-        on_step,
+        checkpoints,
     )
-    return adapted
+    return adapted, snapshots
 
 
 @dataclass
@@ -117,8 +129,7 @@ class MetaIteration:
 class MetaResult:
     params: PolicyParams
     stop_reason: str
-    initial_weights: np.ndarray
-    iterations: list[MetaIteration] = field(default_factory=list)
+    iterations: list[MetaIteration]
 
 
 def meta_train(
@@ -150,11 +161,8 @@ def meta_train(
     task_rng = np.random.default_rng(seed)
     tables = [ResponseTable(s) for s in pool]
     params = init
-    result = MetaResult(
-        params=params,
-        stop_reason=STOP_META_ITERATIONS,
-        initial_weights=init.weights.copy(),
-    )
+    stop_reason = STOP_META_ITERATIONS
+    iterations: list[MetaIteration] = []
     eval_history: list[float] = []
     for iteration in range(config.meta_iterations):
         task_indices = sorted(
@@ -162,7 +170,7 @@ def meta_train(
         )
         adapted_weights = []
         for slot, task_index in enumerate(task_indices):
-            adapted = adapt(
+            adapted, _ = adapt(
                 params,
                 pool[task_index],
                 config.inner_steps,
@@ -181,20 +189,10 @@ def meta_train(
         new_weights = params.weights + config.meta_lr * (mean_adapted - params.weights)
         params = PolicyParams(weights=new_weights, scaling=params.scaling)
 
-        eval_return = float(
-            np.mean(
-                [
-                    episode_return(
-                        run_greedy_episode(
-                            pool[i], params, grid, weights, r1_mode, responses=tables[i]
-                        )
-                    )
-                    for i in task_indices
-                ]
-            )
-        )
+        evals = [_greedy_return(tables[i], params, grid, weights, r1_mode) for i in task_indices]
+        eval_return = float(np.mean(evals))
         eval_history.append(eval_return)
-        result.iterations.append(
+        iterations.append(
             MetaIteration(
                 task_indices=task_indices,
                 adapted_weights=adapted_weights,
@@ -203,12 +201,10 @@ def meta_train(
         )
         rolling = float(np.mean(eval_history[-3:]))
         if rolling >= config.performance_threshold:
-            result.params = params
-            result.stop_reason = STOP_PERFORMANCE_THRESHOLD
-            return result
+            stop_reason = STOP_PERFORMANCE_THRESHOLD
+            break
 
-    result.params = params
-    return result
+    return MetaResult(params=params, stop_reason=stop_reason, iterations=iterations)
 
 
 @dataclass
@@ -272,66 +268,62 @@ def evaluate_adaptation(
     entry's return. Each held-out scenario's envs share one ResponseTable,
     which dies when the next scenario starts.
     """
+    problems = []
     if not heldout:
-        raise ValueError("evaluate_adaptation requires held-out scenarios")
-    train_seeds = {s.seed for s in train_pool}
-    overlap = sorted(train_seeds & {s.seed for s in heldout})
+        problems.append("evaluate_adaptation requires held-out scenarios")
+    overlap = sorted({s.seed for s in train_pool} & {s.seed for s in heldout})
     if overlap:
-        raise ValueError(f"held-out scenarios overlap the training pool (seeds {overlap})")
+        problems.append(f"held-out scenarios overlap the training pool (seeds {overlap})")
+    if n_seeds < 1:
+        problems.append(f"n_seeds must be >= 1, got {n_seeds}")
+    if curve_points < 0:
+        problems.append(f"curve_points must be >= 0, got {curve_points}")
+    if problems:
+        raise ValueError("; ".join(problems))
 
     checkpoints: list[int] = []
     if curve_points > 0:
         checkpoints = sorted({round(k_steps * j / curve_points) for j in range(curve_points + 1)})
-    inner_checkpoints = set(checkpoints) - {0, k_steps}
 
     entries: list[SampleEfficiencyEntry] = []
     curves: list[AdaptationCurve] = []
     per_scenario_meta: list[float] = []
     per_scenario_baseline: list[float] = []
-
-    # Both use `responses`, the table the loop below makes per held-out scenario.
-    def greedy_return(scenario: Scenario, params: PolicyParams) -> float:
-        return episode_return(
-            run_greedy_episode(scenario, params, grid, weights, r1_mode, responses=responses)
-        )
-
-    def adapted_returns(init: PolicyParams, scenario: Scenario) -> tuple[list[float], list[float]]:
-        """The greedy return after k_steps of adaptation from init, per seed,
-        and the seed-mean greedy return at each checkpoint."""
-        curve = np.zeros(len(checkpoints))
-        init_return = greedy_return(scenario, init) if checkpoints else None
-        finals = []
-        for s in range(n_seeds):
-            snapshots: dict[int, PolicyParams] = {}
-
-            def keep(steps_done: int, params: PolicyParams) -> None:
-                if steps_done in inner_checkpoints:
-                    snapshots[steps_done] = params
-
-            adapted = adapt(
-                init,
-                scenario,
-                k_steps,
-                inner_lr,
-                gamma,
-                epsilon,
-                grid,
-                agent_seed=_adaptation_seed(scenario.seed, s),
-                weights=weights,
-                r1_mode=r1_mode,
-                on_step=keep,
-                responses=responses,
-            )
-            finals.append(greedy_return(scenario, adapted))
-            returns = {0: init_return, k_steps: finals[-1]}
-            returns.update((c, greedy_return(scenario, p)) for c, p in snapshots.items())
-            curve += [returns[c] / n_seeds for c in checkpoints]
-        return finals, curve.tolist()
-
     for idx, scenario in enumerate(heldout):
         responses = ResponseTable(scenario)
-        meta_returns, meta_curve = adapted_returns(meta_init, scenario)
-        baseline_returns, baseline_curve = adapted_returns(baseline_init, scenario)
+        # Per init: the greedy return after k_steps, per seed, and the
+        # seed-mean greedy return at each checkpoint.
+        per_init: list[tuple[list[float], np.ndarray]] = []
+        for init in (meta_init, baseline_init):
+            init_return = (
+                _greedy_return(responses, init, grid, weights, r1_mode) if checkpoints else None
+            )
+            seed_finals: list[float] = []
+            curve = np.zeros(len(checkpoints))
+            for s in range(n_seeds):
+                adapted, snapshots = adapt(
+                    init,
+                    scenario,
+                    k_steps,
+                    inner_lr,
+                    gamma,
+                    epsilon,
+                    grid,
+                    agent_seed=_adaptation_seed(scenario.seed, s),
+                    weights=weights,
+                    r1_mode=r1_mode,
+                    checkpoints=checkpoints[1:-1],
+                    responses=responses,
+                )
+                seed_finals.append(_greedy_return(responses, adapted, grid, weights, r1_mode))
+                returns = {0: init_return, k_steps: seed_finals[-1]}
+                returns.update(
+                    (c, _greedy_return(responses, p, grid, weights, r1_mode))
+                    for c, p in snapshots.items()
+                )
+                curve += [returns[c] / n_seeds for c in checkpoints]
+            per_init.append((seed_finals, curve))
+        (meta_returns, meta_curve), (baseline_returns, baseline_curve) = per_init
         for s, (meta_return, baseline_return) in enumerate(zip(meta_returns, baseline_returns)):
             entries.append(
                 SampleEfficiencyEntry(
@@ -349,8 +341,8 @@ def evaluate_adaptation(
                 AdaptationCurve(
                     scenario_seed=scenario.seed,
                     steps=list(checkpoints),
-                    meta_returns=meta_curve,
-                    baseline_returns=baseline_curve,
+                    meta_returns=meta_curve.tolist(),
+                    baseline_returns=baseline_curve.tolist(),
                 )
             )
 

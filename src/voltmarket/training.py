@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -157,21 +157,26 @@ def learn_on_env(
     rng: np.random.Generator,
     weights: RewardWeights = RewardWeights(),
     r1_mode: str = "price_diff",
-    on_step: Callable[[int, PolicyParams], None] | None = None,
-) -> tuple[PolicyParams, list[float]]:
+    checkpoints: Collection[int] = (),
+) -> tuple[PolicyParams, list[float], dict[int, PolicyParams]]:
     """Run a fixed number of epsilon-greedy Q-learning steps on one env.
 
-    Episodes reset automatically; returns the updated params and the return
-    of each completed episode. The run updates its own copy of params'
-    weights in place; params is left untouched. If given, on_step(steps_done,
-    params) is called after every update with a copy of the params reached
-    so far; nothing is kept unless the callback keeps it.
+    Episodes reset automatically. Returns the updated params, the return of
+    each completed episode, and a copy of the params reached after c steps
+    for each c in checkpoints, keyed by c. The run updates its own copy of
+    params' weights in place; params is left untouched. Raises ValueError
+    for a checkpoint outside [1, steps].
     """
+    checkpoints = set(checkpoints)
+    outside = sorted(c for c in checkpoints if not 1 <= c <= steps)
+    if outside:
+        raise ValueError(f"checkpoints must lie in [1, {steps}], got {outside}")
     # PolicyParams wraps the float64 array without copying it, so select_action
     # reads the weights that td_update writes.
     params = PolicyParams(weights=params.weights.copy(), scaling=params.scaling)
     w = params.weights
     episode_returns: list[float] = []
+    snapshots: dict[int, PolicyParams] = {}
     features = featurize(env.reset(), params.scaling)
     ep_return = 0.0
     for step in range(steps):
@@ -179,15 +184,15 @@ def learn_on_env(
         outcome, reward = _step_and_reward(env, grid.levels[a], weights, r1_mode)
         next_features = featurize(outcome.next_state, params.scaling)
         td_update(w, features, a, reward.total, next_features, outcome.done, lr, gamma)
-        if on_step is not None:
-            on_step(step + 1, PolicyParams(weights=w.copy(), scaling=params.scaling))
+        if step + 1 in checkpoints:
+            snapshots[step + 1] = PolicyParams(weights=w.copy(), scaling=params.scaling)
         ep_return += reward.total
         if outcome.done:
             episode_returns.append(ep_return)
             ep_return = 0.0
             next_features = featurize(env.reset(), params.scaling)
         features = next_features
-    return params, episode_returns
+    return params, episode_returns, snapshots
 
 
 def train_policy(
@@ -209,7 +214,7 @@ def train_policy(
     )
     rng = np.random.default_rng(seed)
     env = GridEnv(scenario)
-    params, returns = learn_on_env(
+    params, returns, _ = learn_on_env(
         env,
         params,
         grid,

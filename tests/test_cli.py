@@ -103,6 +103,22 @@ def test_missing_traces_exit_2(tmp_path, capsys):
     assert "gone.csv" in capsys.readouterr().err
 
 
+def test_traces_path_that_is_a_directory_exit_2(tmp_path, capsys):
+    (tmp_path / "traces.csv").mkdir()
+    path = write_config(tmp_path, minimal_config(paths={"traces": "traces.csv"}))
+    assert run_cli("validate", "--config", path) == 2
+    assert "cannot read trace file" in capsys.readouterr().err
+
+
+def test_out_that_is_a_file_is_one_error_exit_1(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    assert run_cli("build-pool", "--config", config_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_text() == "not a directory"
+
+
 def test_build_pool_writes_pool_and_manifest(config_path, tmp_path):
     out = tmp_path / "out"
     assert run_cli("build-pool", "--config", config_path, "--out", out) == 0

@@ -71,6 +71,17 @@ def test_invalid_json(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_file_is_a_violation(tmp_path, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"horizon": "\xff"}')
+    with pytest.raises(ConfigValidationError, match="cannot read config"):
+        load_config(path)
+
+
 def test_all_violations_reported(tmp_path):
     config = minimal_config(
         agent={"lr": -1.0, "gamma": 3.0},

@@ -113,6 +113,16 @@ class TestPolicyPersistence:
         assert loaded_grid == grid
         assert loaded_horizon == horizon
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_file_is_a_policy_file_error(self, tmp_path, kind):
+        path = tmp_path / "policy.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"schema_version": "\xff"}')
+        with pytest.raises(PolicyFileError, match="cannot read policy file"):
+            load_policy(path)
+
     def test_truncated_file_is_corrupt(self, tmp_path):
         path = tmp_path / "policy.json"
         persist_policy(self.params(), PriceGrid.uniform(0.1, 0.4, 2), Horizon(1, 60), path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import voltmarket.env
+import voltmarket.meta
 from voltmarket import (
     EpsilonSchedule,
     GridEnv,
@@ -39,7 +40,7 @@ class TestAdapt:
     def test_zero_lr_returns_equal_params(self):
         pool = micro_pool()
         init = make_init(pool)
-        adapted = adapt(init, pool[0], 10, 0.0, 0.5, 0.1, GRID, agent_seed=1)
+        adapted, _ = adapt(init, pool[0], 10, 0.0, 0.5, 0.1, GRID, agent_seed=1)
         assert adapted.weights.tolist() == init.weights.tolist()
 
     def test_does_not_mutate_init(self):
@@ -49,20 +50,22 @@ class TestAdapt:
         adapt(init, pool[0], 10, 0.05, 0.5, 0.1, GRID, agent_seed=1)
         assert init.weights.tolist() == before.tolist()
 
-    def test_snapshots_are_bit_equal_to_the_copy_based_reference(self):
-        # Every on_step snapshot is a copy of the weights reached at that
-        # step, equal to a loop that builds fresh params after every update.
+    def reference_run(self):
         pool = micro_pool(episode_length=8)
         scaling = make_init(pool).scaling
         init = random_params(GRID.k, scaling, np.random.default_rng(6))
-        snapshots = {}
-        adapted = adapt(
-            init, pool[1], 30, 0.05, 0.5, 0.2, GRID, agent_seed=9,
-            on_step=lambda step, params: snapshots.setdefault(step, params),
-        )
         expected, _, expected_snapshots = reference_learn_on_env(
             GridEnv(pool[1]), init, GRID, 30, 0.05, 0.5, EpsilonSchedule.constant(0.2),
             np.random.default_rng(9),
+        )
+        return pool[1], init, expected, expected_snapshots
+
+    def test_snapshots_are_bit_equal_to_the_copy_based_reference(self):
+        # Every snapshot is a copy of the weights reached at that step, equal
+        # to a loop that builds fresh params after every update.
+        scenario, init, expected, expected_snapshots = self.reference_run()
+        adapted, snapshots = adapt(
+            init, scenario, 30, 0.05, 0.5, 0.2, GRID, agent_seed=9, checkpoints=range(1, 31)
         )
         assert adapted.weights.tolist() == expected.weights.tolist()
         assert sorted(snapshots) == list(range(1, 31))
@@ -70,18 +73,34 @@ class TestAdapt:
             expected_snapshots[k].weights.tolist() for k in sorted(snapshots)
         ]
 
+    def test_returns_exactly_the_requested_checkpoints(self):
+        scenario, init, expected, expected_snapshots = self.reference_run()
+        adapted, snapshots = adapt(
+            init, scenario, 30, 0.05, 0.5, 0.2, GRID, agent_seed=9, checkpoints={3, 7}
+        )
+        assert adapted.weights.tolist() == expected.weights.tolist()
+        assert sorted(snapshots) == [3, 7]
+        for k in (3, 7):
+            assert snapshots[k].weights.tolist() == expected_snapshots[k].weights.tolist()
+
+    @pytest.mark.parametrize("checkpoints", [{0}, {31}, {5, -1}])
+    def test_rejects_a_checkpoint_outside_the_run(self, checkpoints):
+        pool = micro_pool()
+        with pytest.raises(ValueError, match=r"checkpoints must lie in \[1, 30\]"):
+            adapt(make_init(pool), pool[0], 30, 0.05, 0.5, 0.1, GRID, checkpoints=checkpoints)
+
     def test_deterministic(self):
         pool = micro_pool()
         init = make_init(pool)
-        a = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4)
-        b = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4)
+        a, _ = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4)
+        b, _ = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4)
         assert a.weights.tolist() == b.weights.tolist()
 
     def test_learning_moves_params_on_micro_pool(self):
         pool = micro_pool()
         init = make_init(pool)
         for scenario in pool:
-            adapted = adapt(init, scenario, 12, 0.05, 0.5, 0.1, GRID, agent_seed=2)
+            adapted, _ = adapt(init, scenario, 12, 0.05, 0.5, 0.1, GRID, agent_seed=2)
             assert np.any(adapted.weights != init.weights)
 
     def test_rejects_zero_steps(self):
@@ -128,7 +147,7 @@ class TestMetaTrain:
         config = self.config(meta_iterations=2, meta_lr=0.5)
         result = meta_train(pool, config, seed=3, grid=GRID, init=init)
         # Arithmetic oracle over the logged per-task adapted weights.
-        weights = result.initial_weights
+        weights = init.weights
         for iteration in result.iterations:
             mean_adapted = np.mean(iteration.adapted_weights, axis=0)
             weights = weights + config.meta_lr * (mean_adapted - weights)
@@ -236,6 +255,18 @@ class TestEvaluateAdaptation:
                 init, init, pool, k_steps=4, n_seeds=1, train_pool=pool, **self.kwargs()
             )
 
+    def test_rejects_every_bad_size_at_once(self):
+        pool = micro_pool(n=2)
+        init = make_init(pool)
+        with pytest.raises(ValueError) as excinfo:
+            evaluate_adaptation(
+                init, init, pool[1:], k_steps=4, n_seeds=0, train_pool=pool[:1],
+                curve_points=-1, **self.kwargs(),
+            )
+        assert str(excinfo.value) == (
+            "n_seeds must be >= 1, got 0; curve_points must be >= 0, got -1"
+        )
+
     def test_curves_share_checkpoints(self):
         pool = micro_pool(n=2)
         train, heldout = pool[:1], pool[1:]
@@ -254,6 +285,33 @@ class TestEvaluateAdaptation:
         curve = report.curves[0]
         assert curve.steps[0] == 0 and curve.steps[-1] == 6
         assert curve.meta_returns == pytest.approx(curve.baseline_returns)
+
+    def test_copies_and_evaluates_each_checkpoint_once(self, monkeypatch):
+        # Per (held-out scenario, init): one greedy episode for the init, then
+        # per seed one adaptation that copies only the inner checkpoints and
+        # one greedy episode for each of those and for the k-step result.
+        pool = micro_pool(n=3)
+        train, heldout = pool[:1], pool[1:]
+        init = make_init(pool)
+        asked, episodes = [], []
+        real_adapt, real_episode = voltmarket.meta.adapt, voltmarket.meta.run_greedy_episode
+
+        def counting_adapt(*args, **kwargs):
+            asked.append(list(kwargs["checkpoints"]))
+            return real_adapt(*args, **kwargs)
+
+        def counting_episode(*args, **kwargs):
+            episodes.append(args[0].seed)
+            return real_episode(*args, **kwargs)
+
+        monkeypatch.setattr(voltmarket.meta, "adapt", counting_adapt)
+        monkeypatch.setattr(voltmarket.meta, "run_greedy_episode", counting_episode)
+        evaluate_adaptation(
+            init, init, heldout, k_steps=6, n_seeds=2, train_pool=train, curve_points=3,
+            **self.kwargs(),
+        )
+        assert asked == [[2, 4]] * (len(heldout) * 2 * 2)
+        assert episodes == [s.seed for s in heldout for _ in range(2 * (1 + 2 * 3))]
 
     def test_curves_and_entries_match_separate_adaptation_runs(self):
         # Scalar oracle: every checkpoint is its own c-step adaptation from
@@ -281,7 +339,7 @@ class TestEvaluateAdaptation:
         def separate_return(init, scenario, steps, seed):
             params = init
             if steps > 0:
-                params = adapt(
+                params, _ = adapt(
                     init,
                     scenario,
                     steps,
@@ -353,8 +411,8 @@ class TestResponseTableLifetime:
         pool = micro_pool()
         init = make_init(pool)
         table = ResponseTable(pool[0])
-        a = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4, responses=table)
+        a, _ = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4, responses=table)
         before = len(solves)
-        b = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4, responses=table)
+        b, _ = adapt(init, pool[0], 12, 0.05, 0.5, 0.1, GRID, agent_seed=4, responses=table)
         assert len(solves) == before
         assert a.weights.tolist() == b.weights.tolist()

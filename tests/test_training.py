@@ -123,7 +123,7 @@ class TestLearnOnEnv:
         scaling = warmup_scaling(scenario, grid, 20, seed=0)
         params = random_params(grid.k, scaling, np.random.default_rng(1))
         before = params.weights.copy()
-        learned, _ = learn_on_env(
+        learned, _, _ = learn_on_env(
             GridEnv(scenario), params, grid, 20, 0.05, 0.5, EpsilonSchedule.constant(0.2),
             np.random.default_rng(2),
         )
